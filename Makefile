@@ -13,9 +13,9 @@ CHAOS_SEEDS ?= 1 2 3
 # runs more seeds by default.
 STRESS_SEEDS ?= 1 2
 
-.PHONY: all build test race vet lint bench bench-short bench-gate chaos stress cover fuzz-short experiments examples clean
+.PHONY: all build test race vet lint bench bench-short bench-gate benchmark-check chaos stress cover fuzz-short experiments examples clean
 
-all: vet lint test race chaos stress bench-short fuzz-short build
+all: vet lint test race chaos stress bench-short fuzz-short benchmark-check build
 
 # Fuzz regression gate: replays every committed corpus entry (and the
 # in-test seeds) through the fuzz targets without generating new inputs —
@@ -41,6 +41,12 @@ bench-short:
 GATE_THRESHOLD ?= 0.10
 bench-gate:
 	$(GO) run ./cmd/proxybench -gate -gate-threshold $(GATE_THRESHOLD)
+
+# The repository benchmark is a module of its own (benchmark/go.mod), so
+# `go vet ./...` and `go test ./...` at the root never see it. Its tests
+# build proxyd from this checkout and smoke-run all four workloads (~25 s).
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 cover:
 	@for pkg in $(COVER_PKGS); do \

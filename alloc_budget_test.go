@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"testing"
 
@@ -194,6 +196,33 @@ func TestAllocBudgetTrainUnpack(t *testing.T) {
 		t.Errorf("unpacking an 8-member train allocates %.1f/train, budget is 1 (the hoisted Frame)", allocs)
 	}
 	_ = seen
+}
+
+// TestAllocBudgetReadFrame holds the socket read path to one allocation
+// per frame: the exact-size buffer the frame owns. The header is peeked in
+// the connection's read buffer, never copied out through a second one.
+func TestAllocBudgetReadFrame(t *testing.T) {
+	if bench.RaceEnabled {
+		t.Skip("alloc budgets are meaningless under -race (detector allocations are counted)")
+	}
+	f := &wire.Frame{Kind: wire.KindRequest, ReqID: 1, Payload: bytes.Repeat([]byte{0xaa}, 16<<10)}
+	enc, err := f.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(enc)
+	br := bufio.NewReader(rd) // 4 KiB: the frame is read partly through it, partly around it
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(enc)
+		br.Reset(rd)
+		got, err := wire.ReadFrame(br)
+		if err != nil || len(got.Payload) != len(f.Payload) {
+			t.Fatalf("ReadFrame = (%d payload bytes, %v)", len(got.Payload), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("ReadFrame allocates %.1f/frame, budget is 1 (the frame's own buffer)", allocs)
+	}
 }
 
 var _ core.Proxy = (*cache.Proxy)(nil)

@@ -204,6 +204,12 @@ func main() {
 	// Train gauges: fill, inline/staged split, and the unpack counters
 	// (send-side ones only when -trains is on; coalescer may be nil).
 	obs.RegisterTrainMetrics(observer.Registry, coalescer)
+	// Inbound frames dropped because the receive queue was full (the pump
+	// blocked on the dispatch limit for longer than 1024 frames): senders
+	// see these only as timeouts, so a non-zero value explains them.
+	observer.Registry.GaugeFunc("netsim.recv.overruns", func() string {
+		return strconv.FormatUint(ep.RecvOverruns(), 10)
+	})
 
 	// The directory must land at the well-known object id, so it is the
 	// first export in this context.

@@ -98,10 +98,13 @@ const DefaultDispatchLimit = 512
 
 // WithDispatchLimit bounds concurrently-running handlers (default
 // DefaultDispatchLimit). When the limit saturates, the node's receive
-// pump blocks before spawning the next handler: inbound frames queue in
-// the endpoint's receive buffer, then in the transport, so overload
-// turns into backpressure on senders (and eventually rpc timeouts)
-// instead of unbounded goroutine growth. Responses are exempt — they
+// pump blocks before handing the next frame to a handler worker: inbound
+// frames queue in the endpoint's receive buffer, then in the transport,
+// so overload turns into backpressure on senders (and eventually rpc
+// timeouts) instead of unbounded goroutine growth. A receive buffer that
+// fills all the same drops the frame, and the TCP endpoint counts it
+// (netsim.TCPEndpoint.RecvOverruns). The limit is also the only bound on
+// the node's workers (see Node.launch). Responses are exempt — they
 // complete pending calls directly and never consume a slot, so a
 // saturated node can still drain the calls it has in flight.
 func WithDispatchLimit(n int) NodeOption {
@@ -201,6 +204,12 @@ type Node struct {
 	// inbound frame (see SetInboundObserver).
 	inboundObs atomic.Pointer[func(src wire.NodeID)]
 
+	// jobs hands a dispatched frame to a parked handler worker (see
+	// launch); spawned counts the workers ever started.
+	jobs       chan job
+	workerIdle time.Duration
+	spawned    atomic.Uint64
+
 	mu       sync.Mutex
 	contexts map[wire.ContextID]*Context
 	nextCtx  wire.ContextID
@@ -217,9 +226,15 @@ func NewNode(ep netsim.Endpoint, opts ...NodeOption) *Node {
 		contexts: make(map[wire.ContextID]*Context),
 		nextCtx:  1,
 		done:     make(chan struct{}),
+
+		jobs:       make(chan job),
+		workerIdle: workerIdle,
 	}
 	for _, o := range opts {
 		o(n)
+	}
+	if n.adm != nil {
+		n.adm.SetLauncher(func(run func()) { n.launch(job{admitted: run}) })
 	}
 	n.capMark, _ = ep.(trainCapMarker)
 	go n.pump()
@@ -330,10 +345,75 @@ func (n *Node) pump() {
 	}
 }
 
+// job is one handler execution: h.HandleFrame(c, f) holding a dispatch
+// slot, or — under WithAdmission — a request the controller admitted,
+// which keeps its own accounts. It is handed over by value, so dispatch
+// allocates nothing.
+type job struct {
+	c        *Context
+	h        Handler
+	f        *wire.Frame
+	admitted func()
+}
+
+// workerIdle is the period of a parked worker's idle check: it retires at
+// the first check that finds no work done since the previous one, so a
+// burst's stacks are held for one to two periods.
+const workerIdle = 5 * time.Second
+
+// launch is the one place a goroutine starts to run a handler. The job
+// goes to a worker that is already parked; a new worker starts only when
+// none is. A worker keeps the stack its last handler grew, so the
+// reflective decode under a stub call stops paying runtime.newstack on
+// every request. A job is never queued behind a busy worker — handlers
+// block on nested calls, and the frame that unblocks one may be the next
+// to arrive — so the workers have no bound of their own: the dispatch
+// slot (or admission) taken before launch is the bound.
+func (n *Node) launch(j job) {
+	select {
+	case n.jobs <- j:
+	default:
+		n.spawned.Add(1)
+		go n.work(j)
+	}
+}
+
+// work runs jobs until the node closes or a whole idle period passes
+// without one.
+func (n *Node) work(j job) {
+	idle := time.NewTicker(n.workerIdle)
+	defer idle.Stop()
+	n.run(j)
+	worked := true // since the last idle tick
+	for {
+		select {
+		case j = <-n.jobs:
+			n.run(j)
+			worked = true
+		case <-n.done:
+			return
+		case <-idle.C:
+			if !worked {
+				return
+			}
+			worked = false
+		}
+	}
+}
+
+func (n *Node) run(j job) {
+	if j.admitted != nil {
+		j.admitted()
+		return
+	}
+	j.h.HandleFrame(j.c, j.f)
+	<-n.sem
+}
+
 func (n *Node) route(f *wire.Frame) {
 	// Frame trains are unpacked here, below the object layer: each member
 	// is routed as if it had arrived alone, so member requests fan out
-	// onto the ordinary dispatch machinery (parallel handler goroutines)
+	// onto the ordinary dispatch machinery (parallel handler workers)
 	// and member responses complete the sharded pending table directly.
 	// Members alias the train's payload, which is safe because inbound
 	// frames are never pooled; a member that fails its own CRC is dropped
@@ -589,9 +669,7 @@ func (c *Context) dispatch(f *wire.Frame) {
 	case <-c.node.done:
 		return
 	}
-	// Plain method-value goroutine launch: unlike a closure this does not
-	// allocate a capture environment per dispatched frame.
-	go c.runHandler(h, f)
+	c.node.launch(job{c: c, h: h, f: f})
 }
 
 // replayCached answers a deduplicated retransmission from the session
@@ -651,11 +729,6 @@ func (c *Context) recordSession(req *wire.Frame, kind wire.Kind, payload []byte)
 	if sid, seq, ok := wire.PeekSession(req.Payload); ok {
 		tab.Commit(sid, seq, kind, kind == wire.KindError, payload)
 	}
-}
-
-func (c *Context) runHandler(h Handler, f *wire.Frame) {
-	defer func() { <-c.node.sem }()
-	h.HandleFrame(c, f)
 }
 
 // admissionClass grades an inbound request for the admission controller.

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -20,11 +22,16 @@ type TCPEndpoint struct {
 	ln   net.Listener
 	recv chan *wire.Frame
 
-	mu     sync.Mutex
-	peers  map[wire.NodeID]string
-	conns  map[wire.NodeID]*tcpConn
-	closed bool
-	wg     sync.WaitGroup
+	// closed is stored under mu (so route insertion and the loopback push
+	// stay ordered against Close) and loaded without it on the per-frame
+	// paths.
+	closed   atomic.Bool
+	overruns atomic.Uint64
+
+	mu    sync.Mutex
+	peers map[wire.NodeID]string
+	conns map[wire.NodeID]*tcpConn
+	wg    sync.WaitGroup
 }
 
 // tcpConn serializes writes: concurrent frame sends must not interleave
@@ -140,42 +147,57 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
+// readBufSize is the per-connection read buffer: one read syscall drains
+// everything the peer's flusher wrote (a train of small frames, or a
+// whole 16 KiB payload with its header and trailer) instead of one
+// syscall per frame header and another per body.
+const readBufSize = 32 << 10
+
 // readLoop pumps frames from one connection. accepted connections teach
 // us return routes.
 func (e *TCPEndpoint) readLoop(conn net.Conn, accepted bool) {
 	defer e.wg.Done()
 	defer conn.Close()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var tc *tcpConn
 	for {
-		f, err := wire.ReadFrame(conn)
+		f, err := wire.ReadFrame(br)
 		if err != nil {
 			break
 		}
 		if accepted && tc == nil && f.Src.Node != 0 && f.Src.Node != e.node {
 			tc = e.learnRoute(f.Src.Node, conn)
 		}
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
+		if e.closed.Load() {
 			break
 		}
-		select {
-		case e.recv <- &f:
-		default:
-			// Queue overrun: drop, as a congested switch would.
-		}
+		e.deliver(&f)
 	}
 	if tc != nil {
 		e.forgetConn(tc)
 	}
 }
 
+// deliver queues an inbound frame for the node's pump. A full queue
+// drops the frame, as a congested switch would; every drop is counted
+// (RecvOverruns), because a sender only learns of it by timing out.
+func (e *TCPEndpoint) deliver(f *wire.Frame) {
+	select {
+	case e.recv <- f:
+	default:
+		e.overruns.Add(1)
+	}
+}
+
+// RecvOverruns reports how many inbound frames were dropped because the
+// receive queue was full.
+func (e *TCPEndpoint) RecvOverruns() uint64 { return e.overruns.Load() }
+
 // learnRoute records conn as the way back to node, unless a route exists.
 func (e *TCPEndpoint) learnRoute(node wire.NodeID, conn net.Conn) *tcpConn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return nil
 	}
 	if _, ok := e.conns[node]; ok {
@@ -199,22 +221,17 @@ func (e *TCPEndpoint) forgetConn(tc *tcpConn) {
 // Send implements Endpoint. Frames to the local node loop back without
 // touching the network.
 func (e *TCPEndpoint) Send(f *wire.Frame) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
 	if f.Dst.Node == e.node {
 		// Loopback under the lock, so Close cannot close recv mid-push.
-		c := f.Clone()
-		select {
-		case e.recv <- &c:
-		default:
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.closed.Load() {
+			return ErrClosed
 		}
-		e.mu.Unlock()
+		c := f.Clone()
+		e.deliver(&c)
 		return nil
 	}
-	e.mu.Unlock()
 	tc, err := e.connTo(f.Dst.Node)
 	if err != nil {
 		return err
@@ -233,8 +250,14 @@ func (e *TCPEndpoint) Send(f *wire.Frame) error {
 	return nil
 }
 
+// connTo resolves the route to node — closed check and lookup in one lock
+// acquisition — dialing when the peer is known but not yet connected.
 func (e *TCPEndpoint) connTo(node wire.NodeID) (*tcpConn, error) {
 	e.mu.Lock()
+	if e.closed.Load() {
+		e.mu.Unlock()
+		return nil, ErrClosed
+	}
 	if tc, ok := e.conns[node]; ok {
 		e.mu.Unlock()
 		return tc, nil
@@ -249,7 +272,7 @@ func (e *TCPEndpoint) connTo(node wire.NodeID) (*tcpConn, error) {
 		return nil, fmt.Errorf("netsim: dial node %d at %s: %w", node, addr, err)
 	}
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		conn.Close()
 		return nil, ErrClosed
@@ -279,11 +302,11 @@ func (e *TCPEndpoint) LocalNode() wire.NodeID { return e.node }
 // Close implements Endpoint, closing the listener and all connections.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
+	e.closed.Store(true)
 	conns := make([]*tcpConn, 0, len(e.conns))
 	for _, c := range e.conns {
 		conns = append(conns, c)

@@ -157,3 +157,38 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		}
 	}
 }
+
+func TestTCPRecvOverrunsCounted(t *testing.T) {
+	// Nobody drains b.Recv(), as when the node's pump is blocked on the
+	// dispatch limit: the queue fills and every further frame is dropped —
+	// and counted, on the socket path and on the loopback path alike.
+	a, b := tcpPair(t)
+	const extra = 25
+	for i := 0; i < cap(b.recv)+extra; i++ {
+		if err := a.Send(frameTo(1, 2, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.RecvOverruns() < extra {
+		if time.Now().After(deadline) {
+			t.Fatalf("overruns = %d after %d frames into a queue of %d, want %d", b.RecvOverruns(), cap(b.recv)+extra, cap(b.recv), extra)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := b.RecvOverruns(); got != extra {
+		t.Errorf("overruns = %d, want %d", got, extra)
+	}
+	if len(b.recv) != cap(b.recv) {
+		t.Errorf("queue holds %d of %d frames", len(b.recv), cap(b.recv))
+	}
+	if err := b.Send(frameTo(2, 2, "loop")); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.RecvOverruns(); got != extra+1 {
+		t.Errorf("overruns after a loopback send into the full queue = %d, want %d", got, extra+1)
+	}
+	if a.RecvOverruns() != 0 {
+		t.Errorf("sender counted %d overruns of its own", a.RecvOverruns())
+	}
+}

@@ -130,6 +130,9 @@ type item struct {
 type Controller struct {
 	cfg Config
 
+	// launch starts an admitted request's goroutine (see SetLauncher).
+	launch func(run func())
+
 	mu       sync.Mutex
 	inflight int
 	limit    float64
@@ -184,6 +187,24 @@ func NewController(cfg Config, reg *obs.Registry, scope string) *Controller {
 	return c
 }
 
+// SetLauncher makes the controller start admitted requests through
+// launch instead of a goroutine of its own. The hosting kernel node
+// installs its handler workers here before any frame is dispatched, so a
+// node has one place where handler goroutines start, with or without
+// admission control; launch must not block and must not run the request
+// on the calling goroutine. A controller no node hosts (unit tests, a
+// micro-benchmark) keeps the plain goroutine.
+func (c *Controller) SetLauncher(launch func(run func())) { c.launch = launch }
+
+// start runs one admitted request off the calling goroutine.
+func (c *Controller) start(run func()) {
+	if c.launch == nil {
+		go c.exec(run)
+		return
+	}
+	c.launch(func() { c.exec(run) })
+}
+
 // Limit reports the current adaptive concurrency limit.
 func (c *Controller) Limit() int {
 	c.mu.Lock()
@@ -204,7 +225,8 @@ func (c *Controller) Shed() uint64 {
 }
 
 // Submit offers one request for admission. run executes the request (the
-// controller launches it on its own goroutine and measures its latency);
+// controller starts it off the calling goroutine — see SetLauncher — and
+// measures its latency);
 // shed, which may be nil, is called with a retry-after hint when the
 // request is rejected instead. PriorityHigh requests are never shed —
 // they bypass the limit (counted in flight, so their completions still
@@ -218,7 +240,7 @@ func (c *Controller) Submit(pri wire.Priority, run func(), shed func(retryAfter 
 		c.inflightG.Set(int64(c.inflight))
 		c.mu.Unlock()
 		c.bypass.Inc()
-		go c.exec(run)
+		c.start(run)
 		return
 	}
 	if c.inflight < int(c.limit) && c.queued == 0 {
@@ -226,7 +248,7 @@ func (c *Controller) Submit(pri wire.Priority, run func(), shed func(retryAfter 
 		c.inflightG.Set(int64(c.inflight))
 		c.mu.Unlock()
 		c.admitted.Inc()
-		go c.exec(run)
+		c.start(run)
 		return
 	}
 	// No free slot: queue, evict, or shed.
@@ -346,7 +368,7 @@ func (c *Controller) release(lat time.Duration) {
 	for _, it := range toRun {
 		c.admitted.Inc()
 		c.queueWait.Observe(now.Sub(it.enq))
-		go c.exec(it.run)
+		c.start(it.run)
 	}
 }
 

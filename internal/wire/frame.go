@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -256,24 +257,28 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ReadFrame reads exactly one frame from r. It allocates the payload, so
-// the result does not alias any shared buffer.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads exactly one frame from br into one exact-size
+// allocation that the frame owns (Payload aliases it and nothing else
+// does), so the result never aliases br's buffer and may be retained
+// while the reader is reused. The header is peeked in place, not copied
+// out first. A stream that ends between frames returns io.EOF; one that
+// ends inside a frame returns io.ErrUnexpectedEOF.
+func ReadFrame(br *bufio.Reader) (Frame, error) {
+	hdr, err := br.Peek(headerLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, err
 	}
 	plen := int(binary.BigEndian.Uint32(hdr[38:]))
 	if plen > MaxPayload {
 		return Frame{}, ErrTooLarge
 	}
-	rest := make([]byte, plen+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	full := make([]byte, headerLen+plen+trailerLen)
+	if _, err := io.ReadFull(br, full); err != nil {
 		return Frame{}, err
 	}
-	full := make([]byte, 0, headerLen+plen+trailerLen)
-	full = append(full, hdr[:]...)
-	full = append(full, rest...)
 	f, _, err := Decode(full)
 	return f, err
 }

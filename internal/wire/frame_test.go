@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -122,30 +124,79 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
+// chunkReader hands out at most chunk bytes per Read, whatever the
+// caller's buffer could hold: chunk 1 is a socket that trickles, a large
+// chunk one where several frames arrive in a single read.
+type chunkReader struct {
+	data  []byte
+	chunk int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[:min(r.chunk, len(r.data))])
+	r.data = r.data[n:]
+	return n, nil
+}
+
 func TestFrameStreamReadWrite(t *testing.T) {
-	var buf bytes.Buffer
 	frames := []Frame{
 		sampleFrame(),
 		{Kind: KindReply, ReqID: 7, Payload: nil},
 		{Kind: KindCustom + 3, ReqID: 8, Payload: bytes.Repeat([]byte{0x55}, 4096)},
+		{Kind: KindReply, ReqID: 9, Payload: []byte("tail")},
 	}
+	var stream bytes.Buffer
 	for i := range frames {
-		if err := WriteFrame(&buf, &frames[i]); err != nil {
+		if err := WriteFrame(&stream, &frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := range frames {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Kind != frames[i].Kind || got.ReqID != frames[i].ReqID ||
-			!bytes.Equal(got.Payload, frames[i].Payload) {
-			t.Errorf("frame %d mismatch", i)
-		}
+	for _, tc := range []struct {
+		name       string
+		chunk, buf int
+	}{
+		{"one byte per read", 1, 4096},
+		{"several frames per read", stream.Len(), 1 << 16},
+		{"frame larger than the read buffer", 1000, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			br := bufio.NewReaderSize(&chunkReader{data: stream.Bytes(), chunk: tc.chunk}, tc.buf)
+			var got []Frame
+			for i := range frames {
+				f, err := ReadFrame(br)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if f.Kind != frames[i].Kind || f.ReqID != frames[i].ReqID ||
+					!bytes.Equal(f.Payload, frames[i].Payload) {
+					t.Errorf("frame %d mismatch", i)
+				}
+				got = append(got, f)
+			}
+			if _, err := ReadFrame(br); err != io.EOF {
+				t.Errorf("ReadFrame on drained stream = %v, want io.EOF", err)
+			}
+			// Each frame owns its bytes: reading later frames through the
+			// same buffer must not have disturbed earlier ones.
+			for i := range frames {
+				if !bytes.Equal(got[i].Payload, frames[i].Payload) {
+					t.Errorf("frame %d payload changed after later reads", i)
+				}
+			}
+		})
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("ReadFrame on empty stream = %v, want io.EOF", err)
+}
+
+func TestReadFrameTruncated(t *testing.T) {
+	good := frameSeed(t)
+	for _, n := range []int{1, headerLen - 1, headerLen, len(good) - 1} {
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(good[:n])))
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("stream cut at %d of %d bytes: %v, want io.ErrUnexpectedEOF", n, len(good), err)
+		}
 	}
 }
 
@@ -198,6 +249,31 @@ func BenchmarkFrameDecode(b *testing.B) {
 		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReadFrame times the stream path a socket's bytes take — peek
+// the header, one exact-size allocation, CRC — at null-call's frame size
+// and at bulk-call's.
+func BenchmarkReadFrame(b *testing.B) {
+	for _, size := range []int{64, 16 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			f := sampleFrame()
+			f.Payload = bytes.Repeat([]byte{0xaa}, size)
+			buf, _ := f.Encode(nil)
+			rd := bytes.NewReader(buf)
+			br := bufio.NewReaderSize(rd, 32<<10)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(buf)
+				br.Reset(rd)
+				if _, err := ReadFrame(br); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -50,8 +51,17 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := Decode(data)
+		// The stream reader is the path network bytes actually take to
+		// Decode: it must reject exactly what Decode rejects.
+		sf, serr := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("Decode err = %v, ReadFrame err = %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		if sf.Kind != fr.Kind || sf.ReqID != fr.ReqID || !bytes.Equal(sf.Payload, fr.Payload) {
+			t.Fatalf("ReadFrame decoded %v, Decode %v", &sf, &fr)
 		}
 		// Accepted input must be self-consistent: the decoder consumed a
 		// whole frame, and re-encoding it reproduces those bytes exactly
