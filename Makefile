@@ -81,8 +81,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second run repeats the tests over state several goroutines reach at
+# once — a sender's cut, the flusher's sweep and the TCP write path — so a
+# rare interleaving gets ten chances, not one.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Coalescer|Trains|TCP' ./internal/wire ./internal/netsim .
 
 vet:
 	$(GO) vet ./...

@@ -82,9 +82,10 @@ func TestAllocBudgetSameNodeStub(t *testing.T) {
 	if _, err := p.Invoke(ctx, "noop"); err != nil {
 		t.Fatal(err)
 	}
-	// Pre-optimization this path cost 30 allocs/op; 21 is the enforced
-	// 30%-under ceiling (measured: 19).
-	const budget = 21.0
+	// Pre-optimization this path cost 30 allocs/op; 21 was the enforced
+	// 30%-under ceiling, 20 since untraced calls stopped building a span
+	// name (measured: 17).
+	const budget = 20.0
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := p.Invoke(ctx, "noop"); err != nil {
 			t.Fatal(err)

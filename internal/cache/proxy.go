@@ -155,7 +155,7 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) ([]any, 
 		return results, nil
 	}
 	p.misses.Inc()
-	ctx, finish := p.rt.Tracer().StartChild(ctx, "cache.miss:"+method, p.rt.Where())
+	ctx, finish := p.rt.Tracer().StartChild(ctx, "cache.miss:", method, p.rt.Where())
 	results, err := p.readThrough(ctx, method, payload)
 	finish(err)
 	return results, err
@@ -295,7 +295,7 @@ func (p *Proxy) fill(payload []byte, version uint64, results []any) {
 
 func (p *Proxy) write(ctx context.Context, method string, payload []byte) ([]any, error) {
 	p.writes.Inc()
-	ctx, finish := p.rt.Tracer().StartChild(ctx, "cache.write:"+method, p.rt.Where())
+	ctx, finish := p.rt.Tracer().StartChild(ctx, "cache.write:", method, p.rt.Where())
 	results, err := p.writeThrough(ctx, method, payload)
 	finish(err)
 	return results, err

@@ -118,7 +118,7 @@ func (s *Stub) Invoke(ctx context.Context, method string, args ...any) ([]any, e
 	}
 	s.calls.Add(1)
 	s.rt.invokeCalls.Inc()
-	ctx, finish := s.rt.Tracer().StartChild(ctx, "invoke:"+method, s.rt.where)
+	ctx, finish := s.rt.Tracer().StartChild(ctx, "invoke:", method, s.rt.where)
 	res, err := s.invoke(ctx, method, args)
 	finish(err)
 	return res, err

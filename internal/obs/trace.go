@@ -164,18 +164,20 @@ func (t *Tracer) NewSpanID() SpanID {
 // do not allocate a closure per call.
 var noopFinish = func(error) {}
 
-// StartChild begins a span only when ctx already carries a trace;
-// otherwise it is a no-op returning ctx unchanged. Mid-chain hops (stubs,
-// smart proxies) use this, so tracing costs nothing until a caller opts
-// in by opening a root span with StartSpan.
-func (t *Tracer) StartChild(ctx context.Context, name, where string) (context.Context, func(err error)) {
+// StartChild begins a span named kind+method only when ctx already
+// carries a trace; otherwise it is a no-op returning ctx unchanged.
+// Mid-chain hops (stubs, smart proxies) use this, so tracing costs nothing
+// until a caller opts in by opening a root span with StartSpan — not even
+// the name: the two halves are joined after the trace is found, because
+// joining them at the call site is a heap allocation per untraced call.
+func (t *Tracer) StartChild(ctx context.Context, kind, method, where string) (context.Context, func(err error)) {
 	if t == nil {
 		return ctx, noopFinish
 	}
 	if _, ok := SpanFromContext(ctx); !ok {
 		return ctx, noopFinish
 	}
-	return t.StartSpan(ctx, name, where)
+	return t.StartSpan(ctx, kind+method, where)
 }
 
 // StartSpan begins a span named name in location where, parented under

@@ -96,7 +96,7 @@ func TestStartSpanParenting(t *testing.T) {
 	}
 
 	// StartChild without an active trace: no-op, nothing recorded.
-	nctx2, finishIdle := tr.StartChild(context.Background(), "idle", "1.1")
+	nctx2, finishIdle := tr.StartChild(context.Background(), "idle:", "get", "1.1")
 	if _, ok := SpanFromContext(nctx2); ok {
 		t.Fatal("StartChild must not mint a trace on an untraced ctx")
 	}
@@ -105,18 +105,33 @@ func TestStartSpanParenting(t *testing.T) {
 		t.Fatalf("idle StartChild recorded a span: %d spans", got)
 	}
 	// StartChild under an active trace behaves like StartSpan.
-	cctx, finishC := tr.StartChild(ctx, "child2", "3.1")
+	cctx, finishC := tr.StartChild(ctx, "child2:", "get", "3.1")
 	csc, ok := SpanFromContext(cctx)
 	if !ok || csc.Trace != rootSC.Trace || csc.Span == rootSC.Span {
 		t.Fatalf("StartChild context = %+v", csc)
 	}
 	finishC(nil)
+	named := false
+	for _, sp := range tr.Spans(rootSC.Trace) {
+		named = named || sp.Name == "child2:get"
+	}
+	if !named {
+		t.Fatal("StartChild span is not named kind+method")
+	}
+	// The name is joined only under a trace: an untraced hop allocates nothing.
+	method := string([]byte("get")) // not a constant the compiler could fold
+	if n := testing.AllocsPerRun(100, func() {
+		_, fin := tr.StartChild(context.Background(), "idle:", method, "1.1")
+		fin(nil)
+	}); n != 0 {
+		t.Fatalf("untraced StartChild allocates %v times per call, want 0", n)
+	}
 
 	// Nil tracer: no-ops all the way down.
 	var nilT *Tracer
 	nctx, finish := nilT.StartSpan(context.Background(), "x", "y")
 	finish(nil)
-	_, nfinish := nilT.StartChild(context.Background(), "x", "y")
+	_, nfinish := nilT.StartChild(context.Background(), "x", "", "y")
 	nfinish(nil)
 	nilT.Record(Span{})
 	if _, ok := SpanFromContext(nctx); ok {

@@ -8,7 +8,8 @@ import (
 
 // RegisterTrainMetrics surfaces frame-train health in reg as computed
 // gauges. The send side reads the given coalescer's counters — trains
-// sent, average fill, the inline/staged split, and the two failure
+// sent, how many of them a sender cut early instead of leaving to the
+// flusher, average fill, the inline/staged split, and the two failure
 // shapes worth alerting on (overflow bypasses and send errors). The
 // receive side reads the process-wide unpack counters, where a nonzero
 // rejected-members rate means peers are shipping corrupt or truncated
@@ -19,6 +20,9 @@ func RegisterTrainMetrics(reg *Registry, co *wire.Coalescer) {
 	if co != nil {
 		reg.GaugeFunc("wire.trains.sent", func() string {
 			return fmt.Sprintf("%d", co.Stats().TrainsSent)
+		})
+		reg.GaugeFunc("wire.trains.cut", func() string {
+			return fmt.Sprintf("%d", co.Stats().FlushCut)
 		})
 		reg.GaugeFunc("wire.trains.avg_fill", func() string {
 			return fmt.Sprintf("%.2f", co.Stats().AvgFill())

@@ -41,7 +41,7 @@ func TestRegisterTrainMetrics(t *testing.T) {
 		}
 	})
 	for _, name := range []string{
-		"wire.trains.sent", "wire.trains.avg_fill", "wire.trains.inline_sends",
+		"wire.trains.sent", "wire.trains.cut", "wire.trains.avg_fill", "wire.trains.inline_sends",
 		"wire.trains.staged_frames", "wire.trains.overflow", "wire.trains.send_errors",
 		"wire.trains.unpacked", "wire.trains.members_unpacked", "wire.trains.members_rejected",
 	} {

@@ -134,7 +134,7 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) ([]any, 
 		// path is in-process.
 		return invokeOnPrimary(ctx, prim, method, args)
 	}
-	ctx, finish := p.rt.Tracer().StartChild(ctx, "replica.write:"+method, p.rt.Where())
+	ctx, finish := p.rt.Tracer().StartChild(ctx, "replica.write:", method, p.rt.Where())
 	results, err := p.writeToPrimary(ctx, method, args)
 	finish(err)
 	return results, err

@@ -72,10 +72,10 @@ func WithMaxAttempts(n int) ClientOption {
 }
 
 // WithBackoff grows the retransmission interval by factor after every
-// attempt, capped at max. Backoff implies full jitter (each wait drawn
-// uniformly from (0, interval]) unless WithJitter(false) turns it off: a
-// fleet of clients retrying a recovering node in lockstep is itself a
-// failure mode.
+// attempt, capped at max. Backoff implies jitter (each wait drawn
+// uniformly from [interval/2, interval]) unless WithJitter(false) turns
+// it off: a fleet of clients retrying a recovering node in lockstep is
+// itself a failure mode.
 func WithBackoff(factor float64, max time.Duration) ClientOption {
 	return func(c *Client) {
 		if factor > 1 {
@@ -90,7 +90,11 @@ func WithBackoff(factor float64, max time.Duration) ClientOption {
 
 // WithJitter forces jitter on or off, overriding what the other options
 // imply. With jitter on, every retransmit wait is drawn uniformly from
-// (0, interval] — "full jitter", which decorrelates retry storms.
+// [interval/2, interval]: spread enough to decorrelate retry storms, and
+// never so short that a healthy peer is retransmitted at before it had
+// the time to answer — a draw from all of (0, interval] did that to one
+// or two calls per thousand, each an extra frame and a duplicate for the
+// server's reply cache to absorb.
 func WithJitter(on bool) ClientOption {
 	return func(c *Client) {
 		c.jitter = on
@@ -178,7 +182,7 @@ func NewClient(ktx *kernel.Context, opts ...ClientOption) *Client {
 	}
 	switch {
 	case !c.intervalSet && !c.backoffSet:
-		// Nobody asked for a specific policy: back off with full jitter.
+		// Nobody asked for a specific policy: back off with jitter.
 		c.backoffFactor = 2
 		c.backoffMax = 2 * time.Second
 		if !c.jitterSet {
@@ -257,13 +261,14 @@ func (a *attemptRecorder) end(attempt int, errText string) {
 }
 
 // sleepFor resolves one retransmit wait from the current base interval:
-// the interval itself when deterministic, or a full-jitter draw from
-// (0, interval] when jitter is on.
+// the interval itself when deterministic, or a draw from
+// [interval/2, interval] when jitter is on.
 func (c *Client) sleepFor(interval time.Duration) time.Duration {
 	if !c.jitter || interval <= 0 {
 		return interval
 	}
-	return time.Duration(rand.Int63n(int64(interval))) + 1
+	half := interval / 2
+	return half + time.Duration(rand.Int63n(int64(interval-half)+1))
 }
 
 // Call sends payload to the object at dst and waits for the response,

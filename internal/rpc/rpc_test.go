@@ -457,22 +457,27 @@ func TestRetryIntervalAloneStaysDeterministic(t *testing.T) {
 	}
 }
 
-func TestFullJitterDraw(t *testing.T) {
+func TestJitterDrawNeverBelowHalfInterval(t *testing.T) {
 	r := newRig(t, nil, WithBackoff(2, time.Second))
 	c := r.client
 	if !c.jitter {
 		t.Fatal("WithBackoff should imply jitter unless WithJitter(false)")
 	}
+	// A wait far below the interval retransmits at a peer that is merely
+	// taking its normal time to answer.
 	seen := make(map[time.Duration]bool)
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 10000; i++ {
 		d := c.sleepFor(50 * time.Millisecond)
-		if d <= 0 || d > 50*time.Millisecond {
-			t.Fatalf("full-jitter draw %v outside (0, 50ms]", d)
+		if d < 25*time.Millisecond || d > 50*time.Millisecond {
+			t.Fatalf("jittered draw %v outside [25ms, 50ms]", d)
 		}
 		seen[d] = true
 	}
-	if len(seen) < 10 {
-		t.Errorf("200 full-jitter draws produced only %d distinct values", len(seen))
+	if len(seen) < 100 {
+		t.Errorf("10000 jittered draws produced only %d distinct values", len(seen))
+	}
+	if d := c.sleepFor(1); d < 0 || d > 1 {
+		t.Errorf("sleepFor(1ns) = %v, want 0 or 1ns", d)
 	}
 }
 

@@ -86,7 +86,7 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) ([]any, 
 	}
 	if single, ok := p.spec.singleFor(method); ok {
 		p.scatterCalls.Inc()
-		ctx, finish := p.rt.Tracer().StartChild(ctx, "shard:scatter:"+method, p.rt.Where())
+		ctx, finish := p.rt.Tracer().StartChild(ctx, "shard:scatter:", method, p.rt.Where())
 		res, err := scatterGather(ctx, method, args, p.limit, p.ownerScore, func(ctx context.Context, key string, subArgs []any) ([]any, error) {
 			return p.routeKey(ctx, single, key, subArgs)
 		})
@@ -101,7 +101,7 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) ([]any, 
 	if err != nil {
 		return nil, err
 	}
-	ctx, finish := p.rt.Tracer().StartChild(ctx, "shard:route", p.rt.Where())
+	ctx, finish := p.rt.Tracer().StartChild(ctx, "shard:route", "", p.rt.Where())
 	res, err := p.routeKey(ctx, method, key, args)
 	finish(err)
 	return res, err

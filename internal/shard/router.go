@@ -474,7 +474,7 @@ func (r *Router) Invoke(ctx context.Context, method string, args []any) ([]any, 
 // table. Misroutes and freezes can still happen concurrently with a
 // rebalance; both re-read the (possibly advanced) table and retry.
 func (r *Router) routeKey(ctx context.Context, method, key string, args []any) ([]any, error) {
-	ctx, finish := r.rt.Tracer().StartChild(ctx, "shard:route", r.rt.Where())
+	ctx, finish := r.rt.Tracer().StartChild(ctx, "shard:route", "", r.rt.Where())
 	res, err := r.routeKeyLocked(ctx, method, key, args)
 	finish(err)
 	return res, err

@@ -8,13 +8,26 @@
 //     frame is never delayed at all and its send error propagates to the
 //     caller.
 //   - Staged (under load): Send appends the already-encoded frame to the
-//     destination's train buffer and wakes that destination's flusher
-//     goroutine. The flusher drains whatever has accumulated by the time
-//     it is scheduled into KindTrain container frames — one header/CRC/
-//     transport-send amortized across every member — and keeps draining
-//     until the buffer runs dry. The delay a staged frame can see is one
-//     flusher wakeup, the same scheduling latency any channel handoff
-//     pays, so coalescing trades no unbounded latency for its batching.
+//     destination's train buffer. A train is cut as soon as it is worth a
+//     syscall: the sender that stages the 2nd frame of a burst emits
+//     that KindTrain container itself, at once — one header/CRC/
+//     transport-send amortized across its members — and the next cuts of
+//     the same burst come at 4, 8 … MaxFrames staged frames, so heavy
+//     fan-in keeps its amortisation while the peer starts work on the
+//     first members instead of idling until the whole burst has landed.
+//     What no cut takes, the destination's flusher goroutine sweeps: it
+//     lingers one scheduler turn, drains until the buffer runs dry and
+//     puts the threshold back to 2. The delay a staged frame can see is
+//     one flusher wakeup, the same scheduling latency any channel
+//     handoff pays, so coalescing trades no unbounded latency for its
+//     batching.
+//
+// Per destination at most one goroutine emits at a time (destQueue.emit)
+// and it takes the whole staging buffer, so frames leave in staging
+// order: a cut that finds an emission in progress just stages. And no
+// staged frame is without an owner: the frame that starts an empty buffer
+// wakes the flusher, which waits out the emission and drains what was
+// staged behind it.
 //
 // Mode selection keys on burstiness, not rate: when concurrent callers
 // fan in on one destination, reply completions wake several of them
@@ -91,12 +104,18 @@ const maxStagedBytes = 1 << 20
 // destination back to inline mode.
 const soloExit = 2
 
+// firstCut is how many staged frames make a burst's first train; every
+// further cut of the same burst doubles it, up to MaxFrames.
+const firstCut = 2
+
 // destQueue is one destination's train under assembly plus its mode state.
 type destQueue struct {
+	emit       sync.Mutex // held while staged frames are on their way to the transport
 	mu         sync.Mutex
 	buf        []byte // staged members, length-prefixed, ready to be a train payload
-	spare      []byte // recycled buffer for the next round, swapped in by the flusher
+	spare      []byte // recycled buffer for the next round, swapped in by take
 	count      int
+	cut        int   // staged frames at which a sender emits the train itself
 	staged     bool  // true: Sends stage to the flusher; false: Sends go inline
 	last       int64 // monotonic ns of the previous Send
 	burst      int   // leaky-bucket burstiness level
@@ -137,6 +156,7 @@ type Coalescer struct {
 	trainBytes   atomic.Uint64
 	flushFull    atomic.Uint64 // train closed because it hit MaxFrames/MaxBytes
 	flushDrain   atomic.Uint64 // train closed because the staging buffer ran dry
+	flushCut     atomic.Uint64 // train cut by a sender at the burst threshold
 	sendErrors   atomic.Uint64 // failed staged sends (members recovered by retransmission)
 }
 
@@ -218,6 +238,7 @@ func (c *Coalescer) Send(f *Frame) error {
 			dq.staged = true
 			dq.burst = 0
 			dq.soloStreak = 0
+			dq.cut = firstCut
 			if !dq.started {
 				dq.started = true
 				dq.wake = make(chan struct{}, 1)
@@ -251,6 +272,22 @@ func (c *Coalescer) Send(f *Frame) error {
 	// append cannot fail.
 	dq.buf, _ = AppendTrainMember(dq.buf, f)
 	dq.count++
+	// TryLock, not Lock: behind an emission in progress the frame stays
+	// staged (the flusher sweeps it once that emission lands), so no
+	// sender waits on the transport for another's frames and no train
+	// overtakes one.
+	if dq.count >= dq.cut && dq.emit.TryLock() {
+		pending, n := dq.take()
+		if dq.cut *= 2; dq.cut > c.cfg.MaxFrames {
+			dq.cut = c.cfg.MaxFrames
+		}
+		dq.mu.Unlock()
+		c.stagedFrames.Add(1)
+		c.emitTrains(f.Dst.Node, pending, n, &c.flushCut)
+		dq.recycle(pending)
+		dq.emit.Unlock()
+		return nil
+	}
 	first := dq.count == 1
 	wake := dq.wake
 	dq.mu.Unlock()
@@ -303,38 +340,20 @@ func (c *Coalescer) flusher(node NodeID, dq *destQueue) {
 // staging buffer stays empty.
 func (c *Coalescer) drain(node NodeID, dq *destQueue) {
 	for {
+		dq.emit.Lock() // waits out a sender's cut, then sweeps what staged behind it
 		dq.mu.Lock()
 		if dq.count == 0 {
+			dq.cut = firstCut // the burst is over; the next one starts small
 			dq.mu.Unlock()
+			dq.emit.Unlock()
 			return
 		}
-		pending, n := dq.buf, dq.count
-		dq.buf, dq.spare = dq.spare, nil
-		dq.count = 0
-		// Exit detection: a drain that finds a single member proves the
-		// wakeup bought no batching. Two in a row and the destination
-		// goes back to inline mode — a lone caller sheds the staging
-		// detour within a couple of operations.
-		if n == 1 {
-			if dq.soloStreak++; dq.soloStreak >= soloExit {
-				dq.staged = false
-				dq.burst = 0
-				dq.soloStreak = 0
-			}
-		} else {
-			dq.soloStreak = 0
-		}
+		pending, n := dq.take()
 		dq.mu.Unlock()
 
-		c.emitTrains(node, pending, n)
-
-		if cap(pending) <= maxStagedBytes {
-			dq.mu.Lock()
-			if dq.spare == nil {
-				dq.spare = pending[:0]
-			}
-			dq.mu.Unlock()
-		}
+		c.emitTrains(node, pending, n, &c.flushDrain)
+		dq.recycle(pending)
+		dq.emit.Unlock()
 		// Senders that ran while the train was being emitted have staged
 		// more; yield once so the rest of the burst lands before the next
 		// round, building a full train instead of a fragment. When the
@@ -343,12 +362,47 @@ func (c *Coalescer) drain(node NodeID, dq *destQueue) {
 	}
 }
 
+// take hands the staged members to the caller, who holds dq.emit and
+// dq.mu, and leaves an empty buffer behind.
+func (dq *destQueue) take() (pending []byte, n int) {
+	pending, n = dq.buf, dq.count
+	dq.buf, dq.spare = dq.spare, nil
+	dq.count = 0
+	// Exit detection: an emission of a single member proves the wakeup
+	// bought no batching. Two in a row and the destination goes back to
+	// inline mode — a lone caller sheds the staging detour within a
+	// couple of operations.
+	if n == 1 {
+		if dq.soloStreak++; dq.soloStreak >= soloExit {
+			dq.staged = false
+			dq.burst = 0
+			dq.soloStreak = 0
+		}
+	} else {
+		dq.soloStreak = 0
+	}
+	return pending, n
+}
+
+// recycle returns an emitted buffer for the next round's staging.
+func (dq *destQueue) recycle(pending []byte) {
+	if cap(pending) > maxStagedBytes {
+		return
+	}
+	dq.mu.Lock()
+	if dq.spare == nil {
+		dq.spare = pending[:0]
+	}
+	dq.mu.Unlock()
+}
+
 // emitTrains walks the staged member boundaries and sends contiguous
 // chunks as train frames, splitting at the configured caps. Chunks slice
 // the staged buffer directly — no member is re-copied. A chunk that holds
 // a single member is unwrapped and sent as itself: a train of one would
-// cost container overhead and buy nothing.
-func (c *Coalescer) emitTrains(node NodeID, pending []byte, total int) {
+// cost container overhead and buy nothing. closed counts the train that
+// ends the buffer, by what ended it: a sender's cut or the flusher's drain.
+func (c *Coalescer) emitTrains(node NodeID, pending []byte, total int, closed *atomic.Uint64) {
 	chunkStart, chunkCount := 0, 0
 	pos := 0
 	for i := 0; i < total; i++ {
@@ -371,7 +425,7 @@ func (c *Coalescer) emitTrains(node NodeID, pending []byte, total int) {
 	}
 	if chunkCount > 0 {
 		if c.sendChunk(node, pending[chunkStart:pos], chunkCount) {
-			c.flushDrain.Add(1)
+			closed.Add(1)
 		}
 	}
 }
@@ -427,6 +481,7 @@ type CoalescerStats struct {
 	TrainBytes   uint64 // payload bytes carried by sent trains
 	FlushFull    uint64 // trains closed at the frames/bytes cap
 	FlushDrain   uint64 // trains closed because staging ran dry
+	FlushCut     uint64 // trains cut by a sender at the burst threshold
 	SendErrors   uint64
 }
 
@@ -451,6 +506,7 @@ func (c *Coalescer) Stats() CoalescerStats {
 		TrainBytes:   c.trainBytes.Load(),
 		FlushFull:    c.flushFull.Load(),
 		FlushDrain:   c.flushDrain.Load(),
+		FlushCut:     c.flushCut.Load(),
 		SendErrors:   c.sendErrors.Load(),
 	}
 }

@@ -184,6 +184,92 @@ func TestTrainsRemoteFanIn(t *testing.T) {
 	}
 }
 
+// TestTrainsOverTCPFanIn is TestTrainsRemoteFanIn on the transport the
+// daemon really runs on: two loopback TCP endpoints, where a train is one
+// write to a peer process' socket and a sender's cut, the flusher's sweep
+// and the socket's own write lock all meet. Counts must be exact, trains
+// must form in both directions, and nothing may be left running.
+func TestTrainsOverTCPFanIn(t *testing.T) {
+	leakCheck(t)
+	epS, err := netsim.ListenTCP(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceS := netsim.Coalesce(epS, stageAlways())
+	nodeS := kernelNodeForTest(t, ceS)
+	epC, err := netsim.ListenTCP(2, "127.0.0.1:0", map[wire.NodeID]string{1: epS.ListenAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceC := netsim.Coalesce(epC, stageAlways())
+	nodeC := kernelNodeForTest(t, ceC)
+
+	srvCtx, err := nodeS.NewContext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := bench.NewKV()
+	ref, err := core.NewRuntime(srvCtx).Export(kv, "KV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliCtx, err := nodeC.NewContext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := core.NewRuntime(cliCtx)
+
+	const workers, opsPer = 8, 500
+	ctx := context.Background()
+	proxies := make([]core.Proxy, workers)
+	for i := range proxies {
+		if proxies[i], err = client.Import(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first exchange teaches each side the other speaks trains.
+	if _, err := proxies[0].Invoke(ctx, "noop"); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w, p := range proxies {
+		wg.Add(1)
+		go func(w int, p core.Proxy) {
+			defer wg.Done()
+			key := fmt.Sprintf("w%d", w)
+			for i := 1; i <= opsPer; i++ {
+				res, err := p.Invoke(ctx, "incr", key)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := res[0].(int64); got != int64(i) {
+					errs <- fmt.Errorf("worker %d incr %d returned %d", w, i, got)
+					return
+				}
+			}
+		}(w, p)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	for w := 0; w < workers; w++ {
+		if got := kv.Get(fmt.Sprintf("w%d", w)); got != opsPer {
+			t.Errorf("worker %d count = %d, want %d", w, got, opsPer)
+		}
+	}
+	for side, ce := range map[string]*netsim.CoalescedEndpoint{"client": ceC, "server": ceS} {
+		if st := ce.Coalescer().Stats(); st.TrainsSent == 0 || st.SendErrors != 0 {
+			t.Errorf("%s coalescer: stats %+v, want trains sent and no send errors", side, st)
+		}
+	}
+}
+
 // TestTrainsMixedClusterFallback pairs a coalescing node with a legacy
 // node that has never heard of trains. Calls flow both ways; the
 // coalescing side must fall back to frame-at-a-time toward the peer it
