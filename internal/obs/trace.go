@@ -170,6 +170,7 @@ var noopFinish = func(error) {}
 // until a caller opts in by opening a root span with StartSpan — not even
 // the name: the two halves are joined after the trace is found, because
 // joining them at the call site is a heap allocation per untraced call.
+// A span with a constant name passes it as kind and leaves method empty.
 func (t *Tracer) StartChild(ctx context.Context, kind, method, where string) (context.Context, func(err error)) {
 	if t == nil {
 		return ctx, noopFinish

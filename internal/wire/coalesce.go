@@ -175,8 +175,13 @@ func NewCoalescer(local NodeID, send func(*Frame) error, cfg CoalescerConfig) *C
 }
 
 // Close drains and stops every destination flusher. Staged frames still in
-// a buffer are flushed through send before their flusher exits. Safe to
-// call twice; Sends after Close pass through inline.
+// a buffer are flushed through send before their flusher exits, and a
+// sender's cut that is in the transport when Close is called has landed
+// when Close returns: the final drain takes the destination's emit lock
+// behind it. Only a Send that races Close itself (past the closed check
+// before Close set it) can stage or cut afterwards, as it always could
+// stage — callers stop sending first.
+// Safe to call twice; Sends after Close pass through inline.
 func (c *Coalescer) Close() {
 	if c.closed.CompareAndSwap(false, true) {
 		close(c.stop)

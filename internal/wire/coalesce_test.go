@@ -264,6 +264,114 @@ func TestCoalescerSplitsAtMaxFrames(t *testing.T) {
 	}
 }
 
+func TestCoalescerAdaptiveModeSwitch(t *testing.T) {
+	var mu sync.Mutex
+	var sent []Frame
+	co := NewCoalescer(1, func(f *Frame) error {
+		mu.Lock()
+		sent = append(sent, f.Clone())
+		mu.Unlock()
+		return nil
+	}, CoalescerConfig{})
+	co.MarkCapable(3)
+
+	// A tight send loop is one long burst: after EnterBurst back-to-back
+	// sends the destination must flip to staged mode and start handing
+	// frames to the flusher.
+	const total = 400
+	for i := 0; i < total; i++ {
+		f := trainMember(i)
+		if err := co.Send(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	co.Close()
+
+	st := co.Stats()
+	if st.StagedFrames == 0 {
+		t.Fatalf("stats = %+v: tight loop never tripped staged mode", st)
+	}
+	if st.InlineSends == 0 {
+		t.Fatalf("stats = %+v: first sends should have been inline", st)
+	}
+	// Every frame must come out exactly once: inline, solo, or in a train.
+	mu.Lock()
+	defer mu.Unlock()
+	delivered := 0
+	for i := range sent {
+		if sent[i].Kind == KindTrain {
+			members, rejected, err := ForEachTrainMember(sent[i].Payload, func(*Frame) {})
+			if err != nil || rejected != 0 {
+				t.Fatalf("unpack: rejected=%d err=%v", rejected, err)
+			}
+			delivered += members
+		} else {
+			delivered++
+		}
+	}
+	if delivered != total {
+		t.Fatalf("delivered %d frames, want %d", delivered, total)
+	}
+	if st.InlineSends+st.StagedFrames != total {
+		t.Fatalf("stats = %+v: inline+staged != %d", st, total)
+	}
+	// Cut by a sender or swept by the flusher, a staged frame leaves as a
+	// train member or as an unwrapped solo — nothing else, and none twice.
+	if st.TrainFrames+st.SoloFlushes != st.StagedFrames || st.SendErrors != 0 {
+		t.Fatalf("stats = %+v: train members + solos != staged", st)
+	}
+}
+
+func TestCoalescerUrgentAndOversizedBypass(t *testing.T) {
+	var sent []Frame
+	co := NewCoalescer(1, func(f *Frame) error {
+		sent = append(sent, f.Clone())
+		return nil
+	}, CoalescerConfig{MaxBytes: 128})
+	defer co.Close()
+	co.MarkCapable(3)
+
+	urgent := trainMember(0)
+	urgent.Flags |= FlagUrgent
+	if err := co.Send(&urgent); err != nil {
+		t.Fatal(err)
+	}
+	big := trainMember(1)
+	big.Payload = make([]byte, 256)
+	if err := co.Send(&big); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sent {
+		if f.Kind == KindTrain {
+			t.Fatalf("urgent/oversized frame rode a train: %+v", f)
+		}
+	}
+	if st := co.Stats(); st.DirectSends != 2 {
+		t.Fatalf("DirectSends = %d, want 2", st.DirectSends)
+	}
+}
+
+func TestCoalescerCloseIsIdempotentAndSendsPassThrough(t *testing.T) {
+	var sent []Frame
+	co := NewCoalescer(1, func(f *Frame) error {
+		sent = append(sent, f.Clone())
+		return nil
+	}, alwaysStage())
+	co.MarkCapable(3)
+	co.Close()
+	co.Close()
+	f := trainMember(0)
+	if err := co.Send(&f); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != 1 || sent[0].Kind != KindRequest {
+		t.Fatalf("post-Close send not inline: %v", sent)
+	}
+	if st := co.Stats(); st.DirectSends != 1 || st.StagedFrames != 0 {
+		t.Fatalf("stats = %+v, want direct passthrough after Close", st)
+	}
+}
+
 // newOpenSend is a gateSend whose gate is already open: it only records
 // what the transport saw.
 func newOpenSend() *gateSend {
@@ -387,6 +495,47 @@ func TestCoalescerCutPinnedKeepsOrder(t *testing.T) {
 	wantTrains(t, gate.frames(), 2, 6)
 	if st := co.Stats(); st.FlushCut != 1 || st.FlushDrain != 1 || st.SendErrors != 0 {
 		t.Fatalf("stats = %+v, want one cut and one drain", st)
+	}
+}
+
+// TestCoalescerCloseWaitsForPinnedCut closes the coalescer while a sender's
+// cut sits in the transport: Close must not return before that train has
+// landed, so that nothing staged is still on its way out afterwards.
+func TestCoalescerCloseWaitsForPinnedCut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the cut gets pinned, not a drain
+	gate := newGateSend()
+	co := NewCoalescer(1, gate.send, alwaysStage())
+	co.MarkCapable(3)
+
+	cutter := make(chan struct{})
+	go func() {
+		defer close(cutter)
+		for i := 0; i < 2; i++ { // the second send cuts and sticks in the transport
+			f := trainMember(i)
+			if err := co.Send(&f); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+		}
+	}()
+	<-gate.blocked
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		co.Close()
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a sender's cut was still in the transport")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate.block)
+	<-closed
+	// Close waited on the emission, not on the sender: the train is in the
+	// transport's hands by now even if the cutter has yet to return.
+	wantTrains(t, gate.frames(), 2)
+	<-cutter
+	if st := co.Stats(); st.FlushCut != 1 || st.FlushDrain != 0 || st.SendErrors != 0 {
+		t.Fatalf("stats = %+v, want the one cut and nothing left to drain", st)
 	}
 }
 
