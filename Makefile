@@ -13,7 +13,7 @@ CHAOS_SEEDS ?= 1 2 3
 # runs more seeds by default.
 STRESS_SEEDS ?= 1 2
 
-.PHONY: all build test race vet lint bench bench-short bench-gate benchmark-check chaos stress cover fuzz-short experiments examples clean
+.PHONY: all build test race vet lint bench bench-short benchmark-check chaos stress cover fuzz-short experiments examples loc clean
 
 all: vet lint test race chaos stress bench-short fuzz-short benchmark-check build
 
@@ -32,15 +32,6 @@ fuzz-short:
 bench-short:
 	$(GO) test -count=1 -run 'TestAllocBudget' .
 	$(GO) run ./cmd/proxybench -only E1 -ops 25
-
-# Regression gate: measures the fast-path rows and fails if any ns/op
-# regressed >10% against the newest committed BENCH_*.json. Deliberately
-# not part of `make all` — wall-clock noise on shared machines makes it
-# advisory locally; run it (or CI runs it) before cutting a perf-sensitive
-# change. Tune with: make bench-gate GATE_THRESHOLD=0.15
-GATE_THRESHOLD ?= 0.10
-bench-gate:
-	$(GO) run ./cmd/proxybench -gate -gate-threshold $(GATE_THRESHOLD)
 
 # The repository benchmark is a module of its own (benchmark/go.mod), so
 # `go vet ./...` and `go test ./...` at the root never see it. Its tests
@@ -123,6 +114,15 @@ examples:
 	$(GO) run ./examples/bank
 	$(GO) run ./examples/typedcalc
 	$(GO) run ./examples/newsfeed
+
+# Non-test Go lines in the hot-path packages and in the whole repository
+# (benchmark/ included): the figures ROADMAP item 6 tracks.
+loc:
+	@hot=0; for p in core kernel rpc wire netsim session shard replica; do \
+		n=$$(find internal/$$p -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		hot=$$((hot + n)); printf '%-18s %6d\n' internal/$$p $$n; \
+	done; printf '%-18s %6d\n' hot-path $$hot
+	@printf '%-18s %6d\n' repository $$(find . -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 clean:
 	$(GO) clean ./...

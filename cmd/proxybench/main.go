@@ -3,39 +3,21 @@
 //
 // Usage:
 //
-//	proxybench [-only E2,E5] [-latency 500us] [-ops 400] [-seed 1] [-json]
-//	proxybench -gate [-gate-threshold 0.10]
-//
-// With -json, instead of the experiment tables it measures the invocation
-// fast path (the E1 ladder and E2's cache cells) with latency quantiles
-// and allocs/op, and writes BENCH_<date>.json in the current directory —
-// the machine-readable before/after record for the fast-path work. The
-// console summary compares each row against the embedded pre-optimization
-// baseline AND against the newest committed BENCH_*.json, so deltas chain
-// report-over-report rather than always measuring from the original
-// baseline.
-//
-// With -gate, it measures the same rows, compares them against the newest
-// committed BENCH_*.json only, writes nothing, and exits nonzero if any
-// row's ns/op regressed by more than -gate-threshold (default 10%) — the
-// CI hook that keeps fast-path budgets from eroding one "small" PR at a
-// time.
+//	proxybench [-only E2,E5] [-latency 500us] [-ops 400] [-seed 1]
 //
 // Absolute numbers depend on the host; the *shapes* (who wins, where
-// crossovers fall) are what the suite reproduces.
+// crossovers fall) are what the suite reproduces. Performance claims come
+// from the repository benchmark (benchmark/, BENCHMARK.json), not from
+// this runner.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
 )
 
@@ -44,35 +26,7 @@ func main() {
 	latency := flag.Duration("latency", 500*time.Microsecond, "one-way simulated link latency")
 	ops := flag.Int("ops", 400, "operations per measurement")
 	seed := flag.Int64("seed", 1, "workload and network seed")
-	jsonOut := flag.Bool("json", false, "measure the fast path and write BENCH_<date>.json instead of running the experiment tables")
-	gate := flag.Bool("gate", false, "measure the fast path and fail (exit 1) on regression against the newest committed BENCH_*.json; writes nothing")
-	gateThreshold := flag.Float64("gate-threshold", 0.10, "fractional ns/op regression tolerated per row before -gate fails")
 	flag.Parse()
-
-	if *gate {
-		if err := runGate(*ops, *seed, *gateThreshold); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut {
-		// The embedded baseline was recorded at zero link latency (the
-		// root benchmarks' configuration); measure the same way unless
-		// the user explicitly asks for a latency.
-		reportLatency := time.Duration(0)
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "latency" {
-				reportLatency = *latency
-			}
-		})
-		if err := writeJSONReport(reportLatency, *ops, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := experiments.Config{Latency: *latency, Ops: *ops, Seed: *seed}
 
@@ -101,131 +55,4 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("\n%d experiments in %v\n", ran, time.Since(start).Round(time.Millisecond))
-}
-
-// runGate measures the fast path rows and fails if any regressed past the
-// threshold against the newest committed report. It writes no file: the
-// gate is a check, not a record, so a red run leaves nothing behind that a
-// later -json run would chain against.
-func runGate(ops int, seed int64, threshold float64) error {
-	prev, prevName, err := newestPriorReport("")
-	if err != nil {
-		return err
-	}
-	if prev == nil {
-		// Nothing committed yet: the gate passes vacuously but says so,
-		// because a silently green gate with no reference would hide the
-		// misconfiguration.
-		fmt.Println("proxybench -gate: no committed BENCH_*.json to gate against; passing")
-		return nil
-	}
-	rep, err := bench.BuildReport("gate", 0, ops, seed)
-	if err != nil {
-		return fmt.Errorf("proxybench -gate: %w", err)
-	}
-	ref := map[string]bench.ReportRow{}
-	for _, b := range prev.Rows {
-		ref[b.Experiment+"/"+b.Case] = b
-	}
-	fmt.Printf("proxybench -gate: vs %s, threshold %.0f%%\n", prevName, threshold*100)
-	failed := 0
-	for _, r := range rep.Rows {
-		b, ok := ref[r.Experiment+"/"+r.Case]
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		delta := (r.NsPerOp - b.NsPerOp) / b.NsPerOp
-		verdict := "ok"
-		if delta > threshold {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("  %-18s %8.1f ns/op (was %8.1f, %+6.1f%%)  %s\n",
-			r.Experiment+"/"+r.Case, r.NsPerOp, b.NsPerOp, delta*100, verdict)
-	}
-	if failed > 0 {
-		return fmt.Errorf("proxybench -gate: %d row(s) regressed more than %.0f%% vs %s",
-			failed, threshold*100, prevName)
-	}
-	fmt.Println("proxybench -gate: pass")
-	return nil
-}
-
-// writeJSONReport measures the fast path and writes the dated report.
-func writeJSONReport(latency time.Duration, ops int, seed int64) error {
-	date := time.Now().Format("2006-01-02")
-	rep, err := bench.BuildReport(date, latency, ops, seed)
-	if err != nil {
-		return fmt.Errorf("proxybench -json: %w", err)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	name := "BENCH_" + date + ".json"
-	if err := os.WriteFile(name, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("proxybench: wrote %s\n", name)
-	// A console summary of the headline comparison: each measured row
-	// against its embedded pre-optimization baseline.
-	fmt.Println("vs pre-optimization baseline:")
-	printComparison(rep.Rows, rep.Baseline)
-	// And against the newest previously committed report, so deltas
-	// chain report-over-report instead of always measuring from the
-	// original baseline.
-	prev, prevName, err := newestPriorReport(name)
-	if err != nil {
-		return err
-	}
-	if prev == nil {
-		fmt.Println("no prior BENCH_*.json to chain against")
-		return nil
-	}
-	fmt.Printf("vs %s (previous report):\n", prevName)
-	printComparison(rep.Rows, prev.Rows)
-	return nil
-}
-
-// printComparison lines each measured row up against the matching row of
-// a reference report.
-func printComparison(rows, against []bench.ReportRow) {
-	ref := map[string]bench.ReportRow{}
-	for _, b := range against {
-		ref[b.Experiment+"/"+b.Case] = b
-	}
-	for _, r := range rows {
-		b, ok := ref[r.Experiment+"/"+r.Case]
-		if !ok {
-			continue
-		}
-		fmt.Printf("  %-18s %8.1f ns/op (was %8.1f)  %5.1f allocs/op (was %4.1f)\n",
-			r.Experiment+"/"+r.Case, r.NsPerOp, b.NsPerOp, r.AllocsPerOp, b.AllocsPerOp)
-	}
-}
-
-// newestPriorReport loads the lexically newest BENCH_*.json in the
-// current directory other than the one just written (the date-stamped
-// names sort chronologically). Returns nil when this is the first.
-func newestPriorReport(exclude string) (*bench.Report, string, error) {
-	matches, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		return nil, "", err
-	}
-	sort.Strings(matches)
-	for i := len(matches) - 1; i >= 0; i-- {
-		if matches[i] == exclude {
-			continue
-		}
-		data, err := os.ReadFile(matches[i])
-		if err != nil {
-			return nil, "", err
-		}
-		var rep bench.Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, "", fmt.Errorf("parse %s: %w", matches[i], err)
-		}
-		return &rep, matches[i], nil
-	}
-	return nil, "", nil
 }

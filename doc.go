@@ -5,11 +5,11 @@
 // stub/proxy pattern.
 //
 // The implementation lives under internal/: the kernel substrate
-// (wire, codec, netsim, kernel, rpc, naming, group, vclock), the proxy
-// runtime itself (core), the smart proxies (cache, replica, migrate,
-// shard), the comparators (rpc stubs, dsm), and the observability layer
-// (obs: cross-context invocation tracing plus the shared metrics
-// registry).
+// (wire, codec, netsim, kernel, rpc, naming, group, and vclock's Lamport
+// clock), the proxy runtime itself (core), the smart proxies (cache,
+// replica, migrate, shard), the comparators (rpc stubs, dsm), and the
+// observability layer (obs: cross-context invocation tracing plus the
+// shared metrics registry).
 // See README.md for the tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the measured reproduction of every claim. The
 // benchmarks in this directory (bench_test.go) expose one testing.B

@@ -544,3 +544,51 @@ func TestProtectedCacheCoordinatorDeniesForgery(t *testing.T) {
 		t.Errorf("forged write = %v, want CodeDenied", err)
 	}
 }
+
+// TestInvalidationDuringRegister delivers an invalidation after the proxy
+// has installed its callback object and before it has read the register
+// reply. The invalidation is one-way, so nothing orders handleInvalidate
+// against the goroutine in newProxy: both must take p.mu, and the newer
+// version must survive whichever of the two lands last.
+func TestInvalidationDuringRegister(t *testing.T) {
+	w := newCacheWorld(t, 1)
+	const replyVersion, invVersion = 5, 6
+	ctrl := w.server.Kernel().Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
+		cb, _, err := wire.DecodeObjAddr(f.Payload)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_ = ktx.Send(&wire.Frame{
+			Kind:    wire.KindInvalidate,
+			Flags:   wire.FlagOneWay,
+			ReqID:   ktx.NextReqID(),
+			Dst:     cb.Addr,
+			Object:  cb.Object,
+			Payload: wire.AppendUvarint(nil, invVersion),
+		})
+		_ = ktx.Respond(f, kindRegister, wire.AppendUvarint(nil, replyVersion))
+	}))
+	ref := codec.Ref{Target: wire.ObjAddr{Addr: w.server.Addr()}}
+	for i := 0; i < 20; i++ {
+		p, err := newProxy(w.clients[0], ref, hint{Ctrl: ctrl, Mode: ModeCallback})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every round's proxy shares one registry counter (same scope).
+		deadline := time.Now().Add(2 * time.Second)
+		for p.invs.Load() != uint64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatal("invalidation never arrived")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		p.mu.Lock()
+		v := p.version
+		p.mu.Unlock()
+		if v != invVersion {
+			t.Fatalf("round %d: version = %d after an invalidation at %d and a register reply at %d", i, v, invVersion, replyVersion)
+		}
+		w.clients[0].Kernel().Unregister(p.cbObject)
+	}
+}

@@ -83,8 +83,12 @@ func newProxy(rt *core.Runtime, ref codec.Ref, h hint) (*Proxy, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		// Present the highest version we have observed (zero for a fresh
-		// proxy); the coordinator's clock absorbs it.
-		payload := wire.AppendUvarint(wire.AppendObjAddr(nil, cb), p.version)
+		// proxy); the coordinator's clock absorbs it. From Register on,
+		// handleInvalidate may run, so p.version is touched under p.mu.
+		p.mu.Lock()
+		seen := p.version
+		p.mu.Unlock()
+		payload := wire.AppendUvarint(wire.AppendObjAddr(nil, cb), seen)
 		reply, err := rt.Client().Call(ctx, p.ctrl, kindRegister, payload)
 		if err != nil {
 			rt.Kernel().Unregister(p.cbObject)
@@ -95,7 +99,12 @@ func newProxy(rt *core.Runtime, ref codec.Ref, h hint) (*Proxy, error) {
 			rt.Kernel().Unregister(p.cbObject)
 			return nil, err
 		}
-		p.version = v
+		// An invalidation that overtook the reply carries a newer version.
+		p.mu.Lock()
+		if v > p.version {
+			p.version = v
+		}
+		p.mu.Unlock()
 	}
 	return p, nil
 }

@@ -56,16 +56,6 @@ func AppendRequest(dst []byte, cap uint64, method string, args []any) ([]byte, e
 	return dst, nil
 }
 
-// EncodeRequestTraced is EncodeRequest with a trace header prefixed when
-// sc carries a live trace. Pass a zero sc to get a plain request payload.
-func EncodeRequestTraced(cap uint64, method string, args []any, sc obs.SpanContext) ([]byte, error) {
-	body, err := EncodeRequest(cap, method, args)
-	if err != nil || sc.Trace == 0 {
-		return body, err
-	}
-	return append(obs.AppendSpanHeader(nil, sc), body...), nil
-}
-
 // EncodeRequestCtx is EncodeRequest with every header the ctx implies
 // prefixed: the remaining deadline budget and the trace span. It is what
 // header-aware proxies use on their send path.

@@ -434,15 +434,7 @@ func (n *Node) route(f *wire.Frame) {
 	// The health monitor (internal/health) relies on this.
 	if f.Kind == wire.KindPing && f.Flags&wire.FlagResponse == 0 {
 		if f.Flags&wire.FlagOneWay == 0 && !f.Src.IsZero() {
-			ack := wire.GetFrame()
-			ack.Kind = wire.KindAck
-			ack.Flags = wire.FlagResponse
-			ack.ReqID = f.ReqID
-			ack.Src = f.Dst
-			ack.Dst = f.Src
-			ack.Object = wire.KernelObject
-			_ = n.ep.Send(ack)
-			ack.Release()
+			_ = n.respond(nil, f, wire.KindAck, 0, nil)
 		}
 		return
 	}
@@ -454,7 +446,7 @@ func (n *Node) route(f *wire.Frame) {
 		// destroyed). Answer requests with an error so callers fail fast
 		// instead of timing out; drop everything else.
 		if f.Flags&wire.FlagResponse == 0 && f.Flags&wire.FlagOneWay == 0 && !f.Src.IsZero() {
-			n.replyNoRoute(f)
+			_ = n.respond(nil, f, wire.KindError, wire.FlagNoRoute, noSuchContext)
 		}
 		return
 	}
@@ -463,17 +455,29 @@ func (n *Node) route(f *wire.Frame) {
 
 var noSuchContext = []byte("no such context")
 
-func (n *Node) replyNoRoute(f *wire.Frame) {
+// respond answers req with one pooled frame: kind, FlagResponse plus
+// flags, req's id, back to req.Src from the kernel object. Through c it
+// leaves by c.Send (Src is the context, the trace hook sees it); a request
+// that reached no context (c nil) is answered straight from the endpoint
+// as the address it named. Both transports copy before Send returns, so
+// the frame is recycled at once.
+func (n *Node) respond(c *Context, req *wire.Frame, kind wire.Kind, flags uint16, payload []byte) error {
 	resp := wire.GetFrame()
-	resp.Kind = wire.KindError
-	resp.Flags = wire.FlagResponse | wire.FlagNoRoute
-	resp.ReqID = f.ReqID
-	resp.Src = f.Dst
-	resp.Dst = f.Src
+	resp.Kind = kind
+	resp.Flags = wire.FlagResponse | flags
+	resp.ReqID = req.ReqID
+	resp.Dst = req.Src
 	resp.Object = wire.KernelObject
-	resp.Payload = noSuchContext
-	_ = n.ep.Send(resp)
+	resp.Payload = payload
+	var err error
+	if c != nil {
+		err = c.Send(resp)
+	} else {
+		resp.Src = req.Dst
+		err = n.ep.Send(resp)
+	}
 	resp.Release()
+	return err
 }
 
 // pendingShards splits the per-context pending-call table so concurrent
@@ -605,15 +609,7 @@ func (c *Context) dispatch(f *wire.Frame) {
 	c.mu.Unlock()
 	if !ok {
 		if f.Flags&wire.FlagOneWay == 0 && !f.Src.IsZero() {
-			resp := wire.GetFrame()
-			resp.Kind = wire.KindError
-			resp.Flags = wire.FlagResponse | wire.FlagNoRoute
-			resp.ReqID = f.ReqID
-			resp.Dst = f.Src
-			resp.Object = wire.KernelObject
-			resp.Payload = []byte(fmt.Sprintf("no such object %d", f.Object))
-			_ = c.Send(resp)
-			resp.Release()
+			_ = c.node.respond(c, f, wire.KindError, wire.FlagNoRoute, []byte(fmt.Sprintf("no such object %d", f.Object)))
 		}
 		return
 	}
@@ -680,18 +676,11 @@ func (c *Context) replayCached(f *wire.Frame, ent *session.Entry) {
 	if f.Src.IsZero() {
 		return
 	}
-	resp := wire.GetFrame()
-	resp.Kind = ent.Kind
+	kind := ent.Kind
 	if ent.IsErr {
-		resp.Kind = wire.KindError
+		kind = wire.KindError
 	}
-	resp.Flags = wire.FlagResponse
-	resp.ReqID = f.ReqID
-	resp.Dst = f.Src
-	resp.Object = wire.KernelObject
-	resp.Payload = ent.Payload
-	_ = c.Send(resp)
-	resp.Release()
+	_ = c.node.respond(c, f, kind, 0, ent.Payload)
 }
 
 // replyExpired refuses a retry whose session the dedup table evicted.
@@ -703,21 +692,13 @@ func (c *Context) replyExpired(f *wire.Frame) {
 	if f.Src.IsZero() {
 		return
 	}
-	resp := wire.GetFrame()
-	resp.Kind = wire.KindError
-	resp.Flags = wire.FlagResponse
-	resp.ReqID = f.ReqID
-	resp.Dst = f.Src
-	resp.Object = wire.KernelObject
-	resp.Payload = session.ExpiredPayload()
-	_ = c.Send(resp)
-	resp.Release()
+	_ = c.node.respond(c, f, wire.KindError, 0, session.ExpiredPayload())
 }
 
 // recordSession commits an object-layer reply into the dedup table when
-// the request it answers was session-stamped. Kernel-level no-route,
-// pushback, and expired responses are built with raw sends, so they are
-// never recorded — correctly: they prove the invocation did not run.
+// the request it answers was session-stamped. Only Respond calls it:
+// kernel-level no-route, pushback, and expired responses are never
+// recorded — correctly: they prove the invocation did not run.
 func (c *Context) recordSession(req *wire.Frame, kind wire.Kind, payload []byte) {
 	tab := c.node.sessions
 	if tab == nil || req.Flags&wire.FlagOneWay != 0 {
@@ -750,15 +731,7 @@ func (c *Context) replyOverload(f *wire.Frame, retryAfter time.Duration) {
 	if f.Flags&wire.FlagOneWay != 0 || f.Src.IsZero() {
 		return
 	}
-	resp := wire.GetFrame()
-	resp.Kind = wire.KindError
-	resp.Flags = wire.FlagResponse | wire.FlagPushback
-	resp.ReqID = f.ReqID
-	resp.Dst = f.Src
-	resp.Object = wire.KernelObject
-	resp.Payload = wire.AppendPushback(resp.Payload[:0], retryAfter)
-	_ = c.Send(resp)
-	resp.Release()
+	_ = c.node.respond(c, f, wire.KindError, wire.FlagPushback, wire.AppendPushback(nil, retryAfter))
 }
 
 // NextReqID allocates a request id unique within this context.
@@ -871,21 +844,11 @@ func (c *Context) failPending(err error) {
 	}
 }
 
-// Respond answers a request frame with the given kind and payload. The
-// response frame is pooled: both transports copy it before Send
-// returns, so it is recycled immediately after the send.
+// Respond answers a request frame with the given kind and payload, and
+// is the one response that commits into the session table.
 func (c *Context) Respond(req *wire.Frame, kind wire.Kind, payload []byte) error {
 	c.recordSession(req, kind, payload)
-	resp := wire.GetFrame()
-	resp.Kind = kind
-	resp.Flags = wire.FlagResponse
-	resp.ReqID = req.ReqID
-	resp.Dst = req.Src
-	resp.Object = wire.KernelObject
-	resp.Payload = payload
-	err := c.Send(resp)
-	resp.Release()
-	return err
+	return c.node.respond(c, req, kind, 0, payload)
 }
 
 // RespondError answers a request with a KindError response.

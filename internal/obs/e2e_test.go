@@ -233,7 +233,8 @@ func TestHeaderlessRequestStillDecodes(t *testing.T) {
 
 	// And the traced form decodes through the legacy entry point: the
 	// header is stripped and ignored.
-	traced, err := core.EncodeRequestTraced(ref.Cap, "get", []any{"k"}, obs.SpanContext{Trace: 9, Span: 3})
+	spanCtx := obs.ContextWithSpan(context.Background(), obs.SpanContext{Trace: 9, Span: 3})
+	traced, err := core.AppendRequestCtx(nil, spanCtx, ref.Cap, "get", []any{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}

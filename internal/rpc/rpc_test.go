@@ -355,20 +355,7 @@ func TestPerClientCacheIsolation(t *testing.T) {
 	// A-calls even with a tiny per-client bound.
 	net := netsim.New()
 	t.Cleanup(net.Close)
-	mk := func(id wire.NodeID) *kernel.Context {
-		ep, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := kernel.NewNode(ep)
-		t.Cleanup(func() { node.Close() })
-		ktx, err := node.NewContext()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ktx
-	}
-	srvCtx := mk(1)
+	srvCtx := attachContext(t, net, 1)
 	var executions atomic.Int64
 	srv := NewServer(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
 		executions.Add(1)
@@ -377,8 +364,8 @@ func TestPerClientCacheIsolation(t *testing.T) {
 	id := srvCtx.Register(srv)
 	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: id}
 
-	clientB := NewClient(mk(2))
-	clientA := NewClient(mk(3))
+	clientB := NewClient(attachContext(t, net, 2))
+	clientA := NewClient(attachContext(t, net, 3))
 	ctx := context.Background()
 
 	// B makes one call; remember its request id by replaying the frame by
@@ -429,6 +416,104 @@ func TestPerClientCacheIsolation(t *testing.T) {
 	}
 	if st := srv.Stats(); st.DupCached == 0 {
 		t.Error("retransmission was not served from the cache")
+	}
+}
+
+// attachContext puts a node of its own on net and opens one context on it.
+func attachContext(t *testing.T, net *netsim.Network, id wire.NodeID) *kernel.Context {
+	t.Helper()
+	ep, err := net.Attach(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := kernel.NewNode(ep)
+	t.Cleanup(func() { node.Close() })
+	ktx, err := node.NewContext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ktx
+}
+
+// TestClientTableEviction pins the bounded-state trade-off of the
+// per-client LRU: beyond clientLimit the coldest client's whole
+// conversation table goes, so its retransmission executes again, while
+// the clients that stayed warm are still answered from their caches.
+func TestClientTableEviction(t *testing.T) {
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 1)
+	var mu sync.Mutex
+	runs := map[wire.Addr]int{} // handler executions per caller
+	srv := NewServer(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
+		mu.Lock()
+		runs[req.From]++
+		mu.Unlock()
+		return wire.KindReply, nil, nil
+	}))
+	srv.clientLimit = 2
+	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)}
+	ran := func(ktx *kernel.Context) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return runs[ktx.Addr()]
+	}
+
+	// call sends one fresh request from ktx, waits for its reply and
+	// returns the request id.
+	call := func(ktx *kernel.Context) uint64 {
+		t.Helper()
+		id, ch, err := ktx.NewPending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ktx.CancelPending(id)
+		if err := ktx.Send(&wire.Frame{Kind: wire.KindRequest, ReqID: id, Dst: dst.Addr, Object: dst.Object}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no reply for %v", ktx.Addr())
+		}
+		return id
+	}
+	// retransmit repeats request id from ktx and waits until the server
+	// has either run it again or answered it from the cache (nobody
+	// awaits the reply, so the counters tell).
+	retransmit := func(ktx *kernel.Context, id uint64) {
+		t.Helper()
+		before := uint64(ran(ktx)) + srv.Stats().DupCached
+		if err := ktx.Send(&wire.Frame{Kind: wire.KindRequest, Flags: wire.FlagRetransmit, ReqID: id, Dst: dst.Addr, Object: dst.Object}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for uint64(ran(ktx))+srv.Stats().DupCached == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("retransmission from %v never reached the server", ktx.Addr())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	cold, warm1, warm2 := attachContext(t, net, 2), attachContext(t, net, 3), attachContext(t, net, 4)
+	coldID := call(cold)
+	warm1ID := call(warm1)
+	warm2ID := call(warm2) // third client: the coldest table is evicted
+	if n := srv.cacheLen(cold.Addr()); n != 0 {
+		t.Fatalf("coldest client still has %d cached replies after a third client arrived", n)
+	}
+
+	retransmit(warm1, warm1ID)
+	retransmit(warm2, warm2ID)
+	if ran(warm1) != 1 || ran(warm2) != 1 || srv.Stats().DupCached != 2 {
+		t.Errorf("warm clients ran %d and %d times, %d answers from cache; want 1, 1 and 2",
+			ran(warm1), ran(warm2), srv.Stats().DupCached)
+	}
+	retransmit(cold, coldID)
+	if ran(cold) != 2 || srv.Stats().DupCached != 2 {
+		t.Errorf("evicted client ran %d times, %d answers from cache; want its retransmission executed again (2, 2)",
+			ran(cold), srv.Stats().DupCached)
 	}
 }
 

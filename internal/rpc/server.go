@@ -42,17 +42,11 @@ func WithReplyCache(entries int) ServerOption {
 	return func(s *Server) { s.cacheSize = entries }
 }
 
-// WithClientLimit bounds how many distinct clients' conversation tables
-// the server retains (default 256, LRU-evicted). A client whose table was
-// evicted falls back to at-least-once for retransmissions of old
-// requests — the standard trade-off of bounded conversation state.
-func WithClientLimit(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.clientLimit = n
-		}
-	}
-}
+// defaultClientLimit bounds how many distinct clients' conversation tables
+// the server retains (LRU-evicted). A client whose table was evicted
+// falls back to at-least-once for retransmissions of old requests — the
+// standard trade-off of bounded conversation state.
+const defaultClientLimit = 256
 
 // ServerStats counts server activity.
 type ServerStats struct {
@@ -70,7 +64,7 @@ type ServerStats struct {
 type Server struct {
 	handler     Handler
 	cacheSize   int
-	clientLimit int
+	clientLimit int // defaultClientLimit; a field so a test can shrink it
 
 	mu          sync.Mutex
 	clients     map[wire.Addr]*clientState
@@ -102,7 +96,7 @@ func NewServer(handler Handler, opts ...ServerOption) *Server {
 	s := &Server{
 		handler:     handler,
 		cacheSize:   128,
-		clientLimit: 256,
+		clientLimit: defaultClientLimit,
 		clients:     make(map[wire.Addr]*clientState),
 		clientOrder: list.New(),
 	}

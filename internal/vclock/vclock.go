@@ -1,18 +1,11 @@
-// Package vclock implements Lamport and vector clocks. The cache and
-// replication layers use them to order coherence events: a caching proxy
-// stamps its copies with the version it observed, and invalidations carry
-// the writer's clock so stale updates are recognised regardless of message
-// reordering in the (simulated) network.
+// Package vclock implements the Lamport clock that versions the cache
+// coherence protocol: a caching proxy stamps its copies with the version
+// it observed, and invalidations carry the coordinator's clock so stale
+// updates are recognised regardless of message reordering in the
+// (simulated) network.
 package vclock
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-
-	"repro/internal/wire"
-)
+import "sync"
 
 // Lamport is a thread-safe Lamport logical clock. The zero value is ready
 // to use.
@@ -46,169 +39,4 @@ func (l *Lamport) Now() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.now
-}
-
-// Ordering is the result of comparing two vector clocks.
-type Ordering int
-
-// Possible orderings of two vector clocks.
-const (
-	// Equal means the clocks are identical.
-	Equal Ordering = iota
-	// Before means the receiver causally precedes the argument.
-	Before
-	// After means the receiver causally follows the argument.
-	After
-	// Concurrent means neither precedes the other.
-	Concurrent
-)
-
-// String names the ordering.
-func (o Ordering) String() string {
-	switch o {
-	case Equal:
-		return "equal"
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Concurrent:
-		return "concurrent"
-	default:
-		return fmt.Sprintf("ordering(%d)", int(o))
-	}
-}
-
-// Vector is a vector clock keyed by context address. Vectors are not
-// thread-safe; guard them with the owning structure's lock. A nil Vector
-// behaves as the zero (empty) clock for reads.
-type Vector map[wire.Addr]uint64
-
-// New returns an empty vector clock.
-func New() Vector { return make(Vector) }
-
-// Clone returns an independent copy.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	for k, t := range v {
-		c[k] = t
-	}
-	return c
-}
-
-// Tick advances the component for addr and returns the new value.
-func (v Vector) Tick(addr wire.Addr) uint64 {
-	v[addr]++
-	return v[addr]
-}
-
-// Merge folds another clock into v, taking the component-wise maximum.
-func (v Vector) Merge(other Vector) {
-	for k, t := range other {
-		if t > v[k] {
-			v[k] = t
-		}
-	}
-}
-
-// Compare reports the causal relationship between v and other.
-func (v Vector) Compare(other Vector) Ordering {
-	var less, greater bool
-	for k, t := range v {
-		switch o := other[k]; {
-		case t < o:
-			less = true
-		case t > o:
-			greater = true
-		}
-	}
-	for k, o := range other {
-		if _, ok := v[k]; !ok && o > 0 {
-			less = true
-		}
-	}
-	switch {
-	case less && greater:
-		return Concurrent
-	case less:
-		return Before
-	case greater:
-		return After
-	default:
-		return Equal
-	}
-}
-
-// Dominates reports whether v ≥ other component-wise (v is Equal or After).
-func (v Vector) Dominates(other Vector) bool {
-	o := v.Compare(other)
-	return o == Equal || o == After
-}
-
-// Encode appends the clock to dst in a canonical (sorted) order.
-func (v Vector) Encode(dst []byte) []byte {
-	keys := make([]wire.Addr, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Context < keys[j].Context
-	})
-	dst = wire.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = wire.AppendAddr(dst, k)
-		dst = wire.AppendUvarint(dst, v[k])
-	}
-	return dst
-}
-
-// DecodeVector parses a clock encoded by Encode, returning it and the
-// number of bytes consumed.
-func DecodeVector(src []byte) (Vector, int, error) {
-	n, used, err := wire.Uvarint(src)
-	if err != nil {
-		return nil, 0, fmt.Errorf("vclock: decode count: %w", err)
-	}
-	v := make(Vector, n)
-	for i := uint64(0); i < n; i++ {
-		addr, an, err := wire.DecodeAddr(src[used:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("vclock: decode key %d: %w", i, err)
-		}
-		used += an
-		t, tn, err := wire.Uvarint(src[used:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("vclock: decode value %d: %w", i, err)
-		}
-		used += tn
-		v[addr] = t
-	}
-	return v, used, nil
-}
-
-// String renders the clock canonically, e.g. "{1.1:3 2.1:5}".
-func (v Vector) String() string {
-	keys := make([]wire.Addr, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Context < keys[j].Context
-	})
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:%d", k, v[k])
-	}
-	b.WriteByte('}')
-	return b.String()
 }

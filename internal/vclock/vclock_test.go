@@ -3,15 +3,6 @@ package vclock
 import (
 	"sync"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/wire"
-)
-
-var (
-	addrA = wire.Addr{Node: 1, Context: 1}
-	addrB = wire.Addr{Node: 2, Context: 1}
-	addrC = wire.Addr{Node: 3, Context: 1}
 )
 
 func TestLamportMonotonic(t *testing.T) {
@@ -53,138 +44,5 @@ func TestLamportConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := l.Now(); got != workers*ticks {
 		t.Errorf("after %d ticks Now() = %d", workers*ticks, got)
-	}
-}
-
-func TestVectorCompare(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Vector
-		want Ordering
-	}{
-		{"both empty", New(), New(), Equal},
-		{"equal", Vector{addrA: 1}, Vector{addrA: 1}, Equal},
-		{"before", Vector{addrA: 1}, Vector{addrA: 2}, Before},
-		{"after", Vector{addrA: 3}, Vector{addrA: 2}, After},
-		{"before missing key", Vector{addrA: 1}, Vector{addrA: 1, addrB: 1}, Before},
-		{"after missing key", Vector{addrA: 1, addrB: 1}, Vector{addrA: 1}, After},
-		{"concurrent", Vector{addrA: 2, addrB: 1}, Vector{addrA: 1, addrB: 2}, Concurrent},
-		{"concurrent disjoint", Vector{addrA: 1}, Vector{addrB: 1}, Concurrent},
-		{"zero component ignored", Vector{addrA: 1, addrB: 0}, Vector{addrA: 1}, Equal},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.a.Compare(tt.b); got != tt.want {
-				t.Errorf("%v.Compare(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestVectorCompareAntisymmetry(t *testing.T) {
-	inverse := map[Ordering]Ordering{Equal: Equal, Before: After, After: Before, Concurrent: Concurrent}
-	gen := func(a1, a2, b1, b2, c1, c2 uint8) bool {
-		a := Vector{addrA: uint64(a1), addrB: uint64(b1), addrC: uint64(c1)}
-		b := Vector{addrA: uint64(a2), addrB: uint64(b2), addrC: uint64(c2)}
-		return b.Compare(a) == inverse[a.Compare(b)]
-	}
-	if err := quick.Check(gen, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVectorMergeDominates(t *testing.T) {
-	gen := func(a1, b1, a2, b2 uint8) bool {
-		a := Vector{addrA: uint64(a1), addrB: uint64(b1)}
-		b := Vector{addrA: uint64(a2), addrB: uint64(b2)}
-		m := a.Clone()
-		m.Merge(b)
-		return m.Dominates(a) && m.Dominates(b)
-	}
-	if err := quick.Check(gen, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVectorTickAfter(t *testing.T) {
-	a := Vector{addrA: 1, addrB: 2}
-	b := a.Clone()
-	b.Tick(addrA)
-	if got := a.Compare(b); got != Before {
-		t.Errorf("a.Compare(ticked clone) = %v, want Before", got)
-	}
-}
-
-func TestVectorCloneIndependent(t *testing.T) {
-	a := Vector{addrA: 1}
-	b := a.Clone()
-	b.Tick(addrA)
-	if a[addrA] != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestVectorEncodeRoundTrip(t *testing.T) {
-	gen := func(a1, b1, c1 uint16) bool {
-		v := Vector{addrA: uint64(a1), addrB: uint64(b1), addrC: uint64(c1)}
-		buf := v.Encode(nil)
-		got, n, err := DecodeVector(buf)
-		return err == nil && n == len(buf) && got.Compare(v) == Equal && len(got) == len(v)
-	}
-	if err := quick.Check(gen, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVectorEncodeCanonical(t *testing.T) {
-	v := Vector{addrC: 3, addrA: 1, addrB: 2}
-	first := v.Encode(nil)
-	for i := 0; i < 10; i++ {
-		if got := v.Encode(nil); string(got) != string(first) {
-			t.Fatal("Encode is not deterministic across map iteration orders")
-		}
-	}
-}
-
-func TestDecodeVectorErrors(t *testing.T) {
-	v := Vector{addrA: 5, addrB: 7}
-	buf := v.Encode(nil)
-	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodeVector(buf[:i]); err == nil {
-			t.Errorf("DecodeVector accepted %d-byte prefix", i)
-		}
-	}
-}
-
-func TestVectorString(t *testing.T) {
-	v := Vector{addrB: 5, addrA: 3}
-	if got := v.String(); got != "{1.1:3 2.1:5}" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	for o, want := range map[Ordering]string{Equal: "equal", Before: "before", After: "after", Concurrent: "concurrent"} {
-		if got := o.String(); got != want {
-			t.Errorf("Ordering(%d).String() = %q, want %q", int(o), got, want)
-		}
-	}
-}
-
-func BenchmarkVectorCompare(b *testing.B) {
-	v1 := Vector{addrA: 1, addrB: 2, addrC: 3}
-	v2 := Vector{addrA: 3, addrB: 2, addrC: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v1.Compare(v2)
-	}
-}
-
-func BenchmarkVectorEncode(b *testing.B) {
-	v := Vector{addrA: 1, addrB: 2, addrC: 3}
-	buf := make([]byte, 0, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = v.Encode(buf[:0])
 	}
 }

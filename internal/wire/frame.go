@@ -247,16 +247,6 @@ func Decode(src []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
-// WriteFrame encodes f and writes it to w in one call.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := f.Encode(make([]byte, 0, f.EncodedLen()))
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // ReadFrame reads exactly one frame from br into one exact-size
 // allocation that the frame owns (Payload aliases it and nothing else
 // does), so the result never aliases br's buffer and may be retained

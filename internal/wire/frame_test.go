@@ -150,9 +150,11 @@ func TestFrameStreamReadWrite(t *testing.T) {
 	}
 	var stream bytes.Buffer
 	for i := range frames {
-		if err := WriteFrame(&stream, &frames[i]); err != nil {
+		buf, err := frames[i].Encode(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		stream.Write(buf)
 	}
 	for _, tc := range []struct {
 		name       string
