@@ -28,10 +28,13 @@ fuzz-short:
 
 # Fast-path gate: the allocation-budget tests (bypass must be 0 allocs/op,
 # stub and cache at or under their enforced ceilings) plus a one-iteration
-# proxybench smoke run. Cheap enough to ride in `make all`.
+# proxybench smoke run and the TCP layer's own micro-benchmark (a loopback
+# ping-pong between two endpoints in one process, alone and beside 64 idle
+# connections). Cheap enough to ride in `make all`.
 bench-short:
 	$(GO) test -count=1 -run 'TestAllocBudget' .
 	$(GO) run ./cmd/proxybench -only E1 -ops 25
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkTCPPingPong' -benchtime 20000x ./internal/netsim
 
 # The repository benchmark is a module of its own (benchmark/go.mod), so
 # `go vet ./...` and `go test ./...` at the root never see it. Its tests

@@ -210,6 +210,15 @@ func main() {
 	observer.Registry.GaugeFunc("netsim.recv.overruns", func() string {
 		return strconv.FormatUint(ep.RecvOverruns(), 10)
 	})
+	// Socket reads a polling reader satisfied without sleeping, against
+	// those that slept in the netpoller: polled ≈ 0 under steady load
+	// means the peers' writes are paying for wake-ups again.
+	observer.Registry.GaugeFunc("netsim.recv.polled", func() string {
+		return strconv.FormatUint(ep.RecvPolled(), 10)
+	})
+	observer.Registry.GaugeFunc("netsim.recv.parked", func() string {
+		return strconv.FormatUint(ep.RecvParked(), 10)
+	})
 
 	// The directory must land at the well-known object id, so it is the
 	// first export in this context.

@@ -3,9 +3,11 @@ package netsim
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -27,10 +29,14 @@ type TCPEndpoint struct {
 	// paths.
 	closed   atomic.Bool
 	overruns atomic.Uint64
+	// Reads a polling reader satisfied without sleeping, and reads that slept.
+	polled, parked atomic.Uint64
+	lastBig        atomic.Int64 // when a bigFrame last moved, since processStart
 
 	mu    sync.Mutex
 	peers map[wire.NodeID]string
 	conns map[wire.NodeID]*tcpConn
+	live  map[net.Conn]struct{} // every connection a readLoop reads, routed or not
 	wg    sync.WaitGroup
 }
 
@@ -119,7 +125,9 @@ func ListenTCP(node wire.NodeID, listenAddr string, peers map[wire.NodeID]string
 		peers: p,
 		recv:  make(chan *wire.Frame, 1024),
 		conns: make(map[wire.NodeID]*tcpConn),
+		live:  make(map[net.Conn]struct{}),
 	}
+	watch(ln, nil)
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
@@ -142,9 +150,33 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		e.wg.Add(1)
-		go e.readLoop(conn, true)
+		e.mu.Lock()
+		e.serve(conn, true)
+		e.mu.Unlock()
 	}
+}
+
+// serve starts conn's readLoop, or closes conn when the endpoint has
+// closed. e.mu is held: Close finds every connection in live, or none is made.
+func (e *TCPEndpoint) serve(conn net.Conn, accepted bool) bool {
+	if e.closed.Load() {
+		conn.Close()
+		return false
+	}
+	e.live[conn] = struct{}{}
+	e.wg.Add(1)
+	go e.readLoop(conn, e.reader(conn), accepted)
+	return true
+}
+
+// hangUp closes conn. Its descriptor leaves the watch list first: the
+// kernel hands the number out again at once.
+func (e *TCPEndpoint) hangUp(conn net.Conn) {
+	e.mu.Lock()
+	delete(e.live, conn)
+	e.mu.Unlock()
+	unwatch(conn)
+	conn.Close()
 }
 
 // readBufSize is the per-connection read buffer: one read syscall drains
@@ -153,12 +185,28 @@ func (e *TCPEndpoint) acceptLoop() {
 // syscall per frame header and another per body.
 const readBufSize = 32 << 10
 
+// pollBound is how long a hot connection's reader polls an empty socket
+// before it parks: a write to a peer asleep in epoll pays a cross-CPU wake
+// (≈ 14 µs against 4 to one that is awake). It must exceed the parked
+// request/reply cycle (≈ 55 µs) or the two sides never fall into step;
+// EXPERIMENTS.md, PR 20, has the sweep.
+const pollBound = 100 * time.Microsecond
+
+// bigFrame is the frame size that keeps an endpoint from polling for one
+// bound after it moves one, in either direction. A polling reader never
+// lets the process go idle, and idle time is what the Go collector finishes
+// a cycle in: 16 KiB calls stretched mark phases from 0.5 to 14 ms.
+const bigFrame = 8 << 10
+
+// processStart is the origin of the monotonic time readers and lastBig keep.
+var processStart = time.Now()
+
 // readLoop pumps frames from one connection. accepted connections teach
 // us return routes.
-func (e *TCPEndpoint) readLoop(conn net.Conn, accepted bool) {
+func (e *TCPEndpoint) readLoop(conn net.Conn, r io.Reader, accepted bool) {
 	defer e.wg.Done()
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, readBufSize)
+	defer e.hangUp(conn)
+	br := bufio.NewReaderSize(r, readBufSize)
 	var tc *tcpConn
 	for {
 		f, err := wire.ReadFrame(br)
@@ -192,6 +240,11 @@ func (e *TCPEndpoint) deliver(f *wire.Frame) {
 // RecvOverruns reports how many inbound frames were dropped because the
 // receive queue was full.
 func (e *TCPEndpoint) RecvOverruns() uint64 { return e.overruns.Load() }
+
+// RecvPolled reports how many socket reads a polling reader satisfied
+// without sleeping in the netpoller, RecvParked how many slept there.
+func (e *TCPEndpoint) RecvPolled() uint64 { return e.polled.Load() }
+func (e *TCPEndpoint) RecvParked() uint64 { return e.parked.Load() }
 
 // learnRoute records conn as the way back to node, unless a route exists.
 func (e *TCPEndpoint) learnRoute(node wire.NodeID, conn net.Conn) *tcpConn {
@@ -236,15 +289,23 @@ func (e *TCPEndpoint) Send(f *wire.Frame) error {
 	if err != nil {
 		return err
 	}
+	if len(f.Payload) >= bigFrame {
+		e.lastBig.Store(int64(time.Since(processStart)))
+	}
 	if err := tc.writeFrame(f); err != nil {
+		tc.mu.Lock()
+		dead := tc.err != nil // not when f would not encode: nothing was written
+		tc.mu.Unlock()
 		// Connection is broken; forget it so the next send redials (or
 		// waits for the peer to reconnect, for learned routes).
 		e.mu.Lock()
-		if e.conns[f.Dst.Node] == tc {
+		if dead && e.conns[f.Dst.Node] == tc {
 			delete(e.conns, f.Dst.Node)
 		}
 		e.mu.Unlock()
-		tc.c.Close()
+		if dead {
+			e.hangUp(tc.c)
+		}
 		return fmt.Errorf("netsim: send to node %d: %w", f.Dst.Node, err)
 	}
 	return nil
@@ -272,24 +333,19 @@ func (e *TCPEndpoint) connTo(node wire.NodeID) (*tcpConn, error) {
 		return nil, fmt.Errorf("netsim: dial node %d at %s: %w", node, addr, err)
 	}
 	e.mu.Lock()
-	if e.closed.Load() {
-		e.mu.Unlock()
-		conn.Close()
-		return nil, ErrClosed
-	}
+	defer e.mu.Unlock()
 	if existing, ok := e.conns[node]; ok {
 		// Lost a dial race; keep the first connection.
-		e.mu.Unlock()
 		conn.Close()
 		return existing, nil
 	}
-	tc := &tcpConn{c: conn}
-	e.conns[node] = tc
-	e.mu.Unlock()
 	// Dialed connections also carry inbound traffic (the peer replies on
 	// the same socket).
-	e.wg.Add(1)
-	go e.readLoop(conn, false)
+	if !e.serve(conn, false) {
+		return nil, ErrClosed
+	}
+	tc := &tcpConn{c: conn}
+	e.conns[node] = tc
 	return tc, nil
 }
 
@@ -307,16 +363,17 @@ func (e *TCPEndpoint) Close() error {
 		return nil
 	}
 	e.closed.Store(true)
-	conns := make([]*tcpConn, 0, len(e.conns))
-	for _, c := range e.conns {
+	conns := make([]net.Conn, 0, len(e.live))
+	for c := range e.live {
 		conns = append(conns, c)
 	}
 	e.conns = map[wire.NodeID]*tcpConn{}
 	e.mu.Unlock()
 
+	unwatch(e.ln)
 	err := e.ln.Close()
 	for _, c := range conns {
-		c.c.Close()
+		e.hangUp(c)
 	}
 	e.wg.Wait()
 	close(e.recv)

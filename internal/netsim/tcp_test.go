@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -9,7 +13,7 @@ import (
 )
 
 // tcpPair starts two TCP endpoints that know each other's addresses.
-func tcpPair(t *testing.T) (*TCPEndpoint, *TCPEndpoint) {
+func tcpPair(t testing.TB) (*TCPEndpoint, *TCPEndpoint) {
 	t.Helper()
 	a, err := ListenTCP(1, "127.0.0.1:0", nil)
 	if err != nil {
@@ -190,5 +194,257 @@ func TestTCPRecvOverrunsCounted(t *testing.T) {
 	}
 	if a.RecvOverruns() != 0 {
 		t.Errorf("sender counted %d overruns of its own", a.RecvOverruns())
+	}
+}
+
+func TestTCPCloseWithUnroutedConnections(t *testing.T) {
+	// A readLoop runs for every accepted connection, but one that never
+	// taught a route — a port probe that says nothing, a peer whose frames
+	// name no source node — is in no routing table: Close must reach it
+	// anyway, not wait for the peer to hang up.
+	e, err := ListenTCP(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", e.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	anon, err := net.Dial("tcp", e.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer anon.Close()
+	// Connections are accepted in order: once anon's frame is here, both
+	// have their readers.
+	if _, err := anon.Write(encoded(t, frameTo(0, 1, "from nobody"))); err != nil {
+		t.Fatal(err)
+	}
+	recvWithin(t, e, 2*time.Second)
+	done := make(chan error, 1)
+	go func() { done <- e.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Close = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked after 2s on connections that taught no route")
+	}
+	if _, err := silent.Read(make([]byte, 1)); err == nil {
+		t.Error("the silent connection is still open after Close")
+	}
+}
+
+func TestTCPOversizedFrameLeavesConnection(t *testing.T) {
+	// A frame that will not encode is the caller's error, not the
+	// socket's: the route — dialed on a, learned on b — must survive it.
+	a, b := tcpPair(t)
+	if err := a.Send(frameTo(1, 2, "hello")); err != nil {
+		t.Fatal(err)
+	}
+	recvWithin(t, b, 2*time.Second)
+	huge := string(make([]byte, wire.MaxPayload+1))
+	for _, c := range []struct {
+		name     string
+		from, to *TCPEndpoint
+		learned  bool
+	}{{"dialed", a, b, false}, {"learned", b, a, true}} {
+		src, dst := c.from.LocalNode(), c.to.LocalNode()
+		c.from.mu.Lock()
+		before := c.from.conns[dst]
+		c.from.mu.Unlock()
+		if before == nil || before.learned != c.learned {
+			t.Fatalf("%s: route before = %+v", c.name, before)
+		}
+		if err := c.from.Send(frameTo(src, dst, huge)); !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("%s: oversized Send = %v, want ErrTooLarge", c.name, err)
+		}
+		if err := c.from.Send(frameTo(src, dst, "after")); err != nil {
+			t.Fatalf("%s: Send after the oversized frame: %v", c.name, err)
+		}
+		if got := recvWithin(t, c.to, 2*time.Second); string(got.Payload) != "after" {
+			t.Errorf("%s: payload = %q", c.name, got.Payload)
+		}
+		c.from.mu.Lock()
+		after := c.from.conns[dst]
+		c.from.mu.Unlock()
+		if after != before {
+			t.Errorf("%s: the oversized frame cost the connection (route %p → %p)", c.name, before, after)
+		}
+	}
+}
+
+// readerPair returns the write end of a loopback TCP connection and the
+// reader readLoop would read its other end through, with the endpoint
+// that reader counts on.
+func readerPair(t *testing.T) (net.Conn, io.Reader, *TCPEndpoint) {
+	t.Helper()
+	w, c := connPair(t)
+	e := &TCPEndpoint{}
+	return w, e.reader(c), e
+}
+
+// connPair returns the two ends of a loopback TCP connection.
+func connPair(t *testing.T) (dialed, accepted net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	w, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ln.Accept()
+	if err != nil {
+		w.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close(); unwatch(c); c.Close() })
+	return w, c
+}
+
+func encoded(t *testing.T, f *wire.Frame) []byte {
+	t.Helper()
+	b, err := f.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestTCPReaderReassemblesSplitFrame(t *testing.T) {
+	w, r, _ := readerPair(t)
+	br := bufio.NewReaderSize(r, readBufSize)
+	raw := encoded(t, frameTo(1, 2, "split across two writes"))
+	for _, cut := range []int{10, len(raw) - 3} { // inside the header, inside the trailer
+		go func() {
+			w.Write(raw[:cut])
+			time.Sleep(5 * time.Millisecond)
+			w.Write(raw[cut:])
+		}()
+		f, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if string(f.Payload) != "split across two writes" {
+			t.Errorf("cut at %d: payload = %q", cut, f.Payload)
+		}
+	}
+}
+
+func TestTCPReaderPeerClose(t *testing.T) {
+	raw := encoded(t, frameTo(1, 2, "last words"))
+	for _, c := range []struct {
+		name string
+		tail int // bytes of a second frame written before the close
+		want error
+	}{
+		{"between frames", 0, io.EOF},
+		{"inside a header", 10, io.ErrUnexpectedEOF},
+		{"inside a body", len(raw) - 3, io.ErrUnexpectedEOF},
+	} {
+		w, r, _ := readerPair(t)
+		br := bufio.NewReaderSize(r, readBufSize)
+		w.Write(raw)
+		w.Write(raw[:c.tail])
+		w.Close()
+		if f, err := wire.ReadFrame(br); err != nil || string(f.Payload) != "last words" {
+			t.Fatalf("%s: first frame = %q, %v", c.name, f.Payload, err)
+		}
+		if _, err := wire.ReadFrame(br); err != c.want {
+			t.Errorf("%s: ReadFrame after the peer closed = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+func TestTCPReaderReadAllocs(t *testing.T) {
+	w, r, _ := readerPair(t)
+	kick := make(chan struct{})
+	defer close(kick)
+	one := []byte{'x'}
+	go func() {
+		for range kick {
+			w.Write(one)
+		}
+	}()
+	buf := make([]byte, 16)
+	allocs := testing.AllocsPerRun(200, func() {
+		kick <- struct{}{}
+		if n, err := r.Read(buf); n != 1 || err != nil {
+			t.Errorf("Read = %d, %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Read allocates %.1f times a call, want 0", allocs)
+	}
+}
+
+// echo answers every frame e receives with a reply-sized frame, until e
+// is closed.
+func echo(e *TCPEndpoint) {
+	res := make([]byte, 16)
+	for f := range e.Recv() {
+		e.Send(&wire.Frame{Kind: wire.KindReply, Flags: wire.FlagResponse, ReqID: f.ReqID, Src: f.Dst, Dst: f.Src, Payload: res})
+	}
+}
+
+func TestTCPClosePollingEndpoint(t *testing.T) {
+	// Close reaches a reader that is polling when its probe gives up,
+	// within one pollBound; it must not wait for the peer to speak.
+	// (TestTCPReaderCloseWhilePolling pins a reader in its poll first.)
+	a, b := tcpPair(t)
+	go echo(b)
+	for i := 0; i < 300; i++ { // back-to-back round trips make both readers hot
+		if err := a.Send(frameTo(1, 2, "ping")); err != nil {
+			t.Fatal(err)
+		}
+		recvWithin(t, a, 2*time.Second)
+	}
+	start := time.Now()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 10*time.Millisecond {
+		t.Errorf("Close took %v with a reader polling, want under 10ms", took)
+	}
+}
+
+// BenchmarkTCPPingPong is the transport rung alone: two endpoints in one
+// process, a request-sized frame out and a reply-sized one back, as the
+// repository benchmark's ladder.netsim.tcp_rtt_ns. idle is the number of
+// further connections to the server that say nothing: what a probe costs
+// grows with the descriptors asleep in the process.
+func BenchmarkTCPPingPong(b *testing.B) {
+	for _, idle := range []int{0, 64} {
+		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
+			cli, srv := tcpPair(b)
+			go echo(srv)
+			for i := 0; i < idle; i++ {
+				c, err := net.Dial("tcp", srv.ListenAddr())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Close()
+			}
+			req := wire.Frame{Kind: wire.KindRequest, Object: 2, Payload: make([]byte, 48),
+				Src: wire.Addr{Node: 1, Context: 1}, Dst: wire.Addr{Node: 2, Context: 1}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.ReqID++
+				if err := cli.Send(&req); err != nil {
+					b.Fatal(err)
+				}
+				if _, ok := <-cli.Recv(); !ok {
+					b.Fatal("endpoint closed")
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(cli.RecvPolled()+srv.RecvPolled())/float64(2*b.N), "polled/read")
+		})
 	}
 }
