@@ -4,7 +4,7 @@ GO ?= go
 
 # make cover fails if any of these packages drop below this (percent).
 COVER_MIN ?= 80
-COVER_PKGS ?= ./internal/obs ./internal/health ./internal/replica ./internal/group ./internal/codec ./internal/shard ./internal/overload ./internal/netsim ./internal/session
+COVER_PKGS ?= ./internal/obs ./internal/health ./internal/replica ./internal/group ./internal/codec ./internal/shard ./internal/overload ./internal/netsim ./internal/session ./internal/rpc ./internal/kernel
 
 # Seeds make chaos replays; override to explore: make chaos CHAOS_SEEDS="7 8 9"
 CHAOS_SEEDS ?= 1 2 3

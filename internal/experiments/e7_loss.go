@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
 	"repro/internal/wire"
@@ -16,29 +17,29 @@ import (
 
 // E7AtMostOnce sweeps message loss and checks the reliability machinery:
 // calls keep succeeding (retransmission), each executes exactly once
-// (duplicate suppression), and the ablation row with the reply cache
-// disabled shows duplicate executions — why the cache exists. Expected
-// shape: latency and retransmissions climb with loss; the "executed"
-// column equals the op count in every cached row and exceeds it in the
-// uncached ablation.
+// (duplicate suppression), and the ablation row served by a bare kernel
+// handler — an rpc.Server without dedup is exactly that — shows duplicate
+// executions: why the dedup table exists. Expected shape: latency and
+// retransmissions climb with loss; the "executed" column equals the op
+// count in every dedup row and exceeds it in the bare-handler ablation.
 func E7AtMostOnce(w io.Writer, cfg Config) error {
 	header(w, "E7", "at-most-once under loss")
 	losses := []float64{0, 0.05, 0.10, 0.20}
-	tab := bench.Table{Headers: []string{"loss%", "reply cache", "mean/op", "retransmits", "executed", "want"}}
+	tab := bench.Table{Headers: []string{"loss%", "dedup", "mean/op", "retransmits", "executed", "want"}}
 
 	ops := cfg.Ops / 4 // lossy runs are slow; keep the suite snappy
 	if ops < 50 {
 		ops = 50
 	}
 	for _, loss := range losses {
-		for _, cached := range []bool{true, false} {
-			mean, retr, executed, err := e7Run(cfg, loss, cached, ops)
+		for _, dedup := range []bool{true, false} {
+			mean, retr, executed, err := e7Run(cfg, loss, dedup, ops)
 			if err != nil {
-				return fmt.Errorf("loss=%v cached=%v: %w", loss, cached, err)
+				return fmt.Errorf("loss=%v dedup=%v: %w", loss, dedup, err)
 			}
 			label := "on"
-			if !cached {
-				label = "off (ablation)"
+			if !dedup {
+				label = "off (bare handler)"
 			}
 			tab.Add(fmt.Sprintf("%.0f", loss*100), label, mean, retr, executed, ops)
 		}
@@ -48,7 +49,7 @@ func E7AtMostOnce(w io.Writer, cfg Config) error {
 	return nil
 }
 
-func e7Run(cfg Config, loss float64, replyCache bool, ops int) (time.Duration, uint64, int64, error) {
+func e7Run(cfg Config, loss float64, dedup bool, ops int) (time.Duration, uint64, int64, error) {
 	net := netsim.New(
 		netsim.WithDefaultLink(netsim.LinkConfig{Latency: cfg.Latency, LossRate: loss}),
 		netsim.WithSeed(cfg.Seed),
@@ -72,14 +73,14 @@ func e7Run(cfg Config, loss float64, replyCache bool, ops int) (time.Duration, u
 		return 0, 0, 0, err
 	}
 	// Server-side at-most-once is built into the export path; the ablation
-	// reaches beneath it with a raw rpc server when replyCache is off.
+	// reaches beneath it with a bare kernel handler that runs every frame
+	// it is handed.
 	target := exported.Target
-	if !replyCache {
-		raw := rpc.NewServer(rpc.HandlerFunc(func(req *rpc.Request) (wire.Kind, []byte, []byte) {
+	if !dedup {
+		id := serverRT.Kernel().Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
 			executed.Add(1)
-			return wire.KindReply, nil, nil
-		}), rpc.WithReplyCache(0))
-		id := serverRT.Kernel().Register(raw)
+			_ = ktx.Respond(f, wire.KindReply, nil)
+		}))
 		target = wire.ObjAddr{Addr: serverRT.Addr(), Object: id}
 	}
 
@@ -90,7 +91,7 @@ func e7Run(cfg Config, loss float64, replyCache bool, ops int) (time.Duration, u
 	for i := 0; i < ops; i++ {
 		start := time.Now()
 		var err error
-		if replyCache {
+		if dedup {
 			_, err = client.Call(ctx, target, wire.KindRequest, e7Request())
 		} else {
 			_, err = client.Call(ctx, target, wire.KindRequest, nil)

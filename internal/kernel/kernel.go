@@ -166,14 +166,15 @@ func WithTrace(fn func(dir TraceDirection, f *wire.Frame)) NodeOption {
 	return func(nd *Node) { nd.trace = fn }
 }
 
-// WithSessions installs a per-session dedup table consulted below the
-// object layer: a session-stamped request (the 0xF8 payload header)
-// whose (session, seq) already executed is answered from the cached
-// reply without dispatching a handler; one still executing is dropped
-// (the original will answer the retransmitting client); one whose
-// session the table evicted is refused with the session-expired error.
-// Requests without the header pass through untouched, so the table
-// costs unstamped traffic one nil check. Replies sent through
+// WithSessions substitutes a configured dedup table for the default one
+// every node has. The table is consulted below the object layer: a
+// session-stamped request (the 0xF8 payload header) whose (session, seq)
+// already executed is answered from the cached reply without dispatching
+// a handler; one still executing is dropped (the original will answer
+// the retransmitting client); one whose session the table evicted is
+// refused with the session-expired error. Requests without the header
+// cost one leading-byte peek here; rpc.Server presents those to the same
+// table under the frame's own identity. Replies sent through
 // Context.Respond/RespondError are recorded automatically; kernel-level
 // no-route and pushback responses bypass recording by construction
 // (they prove the invocation never ran — a retry SHOULD execute).
@@ -223,6 +224,7 @@ func NewNode(ep netsim.Endpoint, opts ...NodeOption) *Node {
 	n := &Node{
 		ep:       ep,
 		sem:      make(chan struct{}, DefaultDispatchLimit),
+		sessions: session.NewTable(session.Config{}),
 		contexts: make(map[wire.ContextID]*Context),
 		nextCtx:  1,
 		done:     make(chan struct{}),
@@ -244,10 +246,9 @@ func NewNode(ep netsim.Endpoint, opts ...NodeOption) *Node {
 // ID reports the node's identity.
 func (n *Node) ID() wire.NodeID { return n.ep.LocalNode() }
 
-// SessionTable exposes the node's exactly-once dedup table; nil without
-// WithSessions. Shared with layers that own their own dedup scope (the
-// replicated-object primary, the shard guard) and with the stats service
-// that reports occupancy.
+// SessionTable exposes the node's dedup table (never nil): rpc.Server
+// answers retransmissions from it, and the stats service reports its
+// occupancy.
 func (n *Node) SessionTable() *session.Table { return n.sessions }
 
 // SetInboundObserver installs (nil removes) a hook called with the source
@@ -282,15 +283,16 @@ func (n *Node) NewContext() (*Context, error) {
 	for i := range c.pending {
 		c.pending[i].m = make(map[uint64]chan *wire.Frame)
 	}
-	// Request ids must be unique across restarts of a context at the same
-	// address: remote reply caches key on (source address, request id), so
-	// a process that restarts and counts from 1 again would be answered
-	// with a previous incarnation's cached replies. A random origin makes
-	// collisions vanishingly unlikely (the Birrell–Nelson conversation-id
-	// fix).
-	var seed [8]byte
+	// A request id is a Birrell–Nelson conversation id (high half, drawn
+	// at random here) over a sequence number (low half, counted from 1).
+	// Remote dedup tables key a session on (source address, conversation)
+	// and order it by sequence, so a context re-created at the same address
+	// is neither answered with its predecessor's replies nor refused for
+	// starting below its floor. A counter that overflows its low half
+	// opens the next conversation.
+	var seed [4]byte
 	if _, err := cryptorand.Read(seed[:]); err == nil {
-		c.reqID.Store(binary.BigEndian.Uint64(seed[:]) >> 1)
+		c.reqID.Store(uint64(binary.BigEndian.Uint32(seed[:])) << 32)
 	}
 	n.contexts[id] = c
 	return c, nil
@@ -613,31 +615,26 @@ func (c *Context) dispatch(f *wire.Frame) {
 		}
 		return
 	}
-	// Exactly-once dedup (WithSessions): consulted after the object
-	// lookup — a missing object must answer no-route so failover knows
-	// the request never ran — and before admission, so a replay is
-	// answered from cache even on a saturated node. Only session-stamped
-	// requests take this path; the common unstamped case costs one nil
-	// check and one leading-byte peek.
-	var sessSID, sessSeq uint64
-	sessionBegun := false
-	if tab := c.node.sessions; tab != nil && f.Flags&wire.FlagOneWay == 0 &&
-		(f.Kind == wire.KindRequest || f.Kind >= wire.KindCustom) {
-		if sid, seq, ok := wire.PeekSession(f.Payload); ok {
-			switch verdict, ent := tab.Begin(sid, seq); verdict {
-			case session.Replay:
-				c.replayCached(f, ent)
-				return
-			case session.InFlight:
-				// The original execution will answer; the client keeps
-				// retransmitting under the same identity until it does.
-				return
-			case session.Expired:
-				c.replyExpired(f)
-				return
-			default: // Fresh: marked in flight; Respond/RespondError commit it.
-				sessSID, sessSeq, sessionBegun = sid, seq, true
-			}
+	// Exactly-once dedup: consulted after the object lookup — a missing
+	// object must answer no-route so failover knows the request never ran
+	// — and before admission, so a replay is answered from cache even on
+	// a saturated node. Only session-stamped requests take this path; the
+	// common unstamped case costs one leading-byte peek.
+	tab := c.node.sessions
+	sessSID, sessSeq, sessionBegun := SessionStamp(f)
+	if sessionBegun {
+		switch verdict, ent := tab.Begin(sessSID, sessSeq); verdict {
+		case session.Replay:
+			c.replayCached(f, ent)
+			return
+		case session.InFlight:
+			// The original execution will answer; the client keeps
+			// retransmitting under the same identity until it does.
+			return
+		case session.Expired:
+			c.replyExpired(f)
+			return
+		default: // Fresh: marked in flight; Respond/RespondError commit it.
 		}
 	}
 	if ac := c.node.adm; ac != nil {
@@ -649,7 +646,6 @@ func (c *Context) dispatch(f *wire.Frame) {
 		if sessionBegun {
 			// A shed request never executed: release the in-flight mark so
 			// the client's retry is Fresh, not stuck behind a ghost.
-			tab := c.node.sessions
 			shed = func(retryAfter time.Duration) {
 				tab.Abort(sessSID, sessSeq)
 				c.replyOverload(f, retryAfter)
@@ -695,20 +691,24 @@ func (c *Context) replyExpired(f *wire.Frame) {
 	_ = c.node.respond(c, f, wire.KindError, 0, session.ExpiredPayload())
 }
 
+// SessionStamp reports the (session, seq) identity under which dispatch
+// deduplicates f: the 0xF8 stamp of a two-way invocation or
+// service-private request. A layer above that deduplicates transmissions
+// (rpc.Server) leaves such a frame to the kernel's lookup.
+func SessionStamp(f *wire.Frame) (sid, seq uint64, ok bool) {
+	if f.Flags&wire.FlagOneWay != 0 || (f.Kind != wire.KindRequest && f.Kind < wire.KindCustom) {
+		return 0, 0, false
+	}
+	return wire.PeekSession(f.Payload)
+}
+
 // recordSession commits an object-layer reply into the dedup table when
 // the request it answers was session-stamped. Only Respond calls it:
 // kernel-level no-route, pushback, and expired responses are never
 // recorded — correctly: they prove the invocation did not run.
 func (c *Context) recordSession(req *wire.Frame, kind wire.Kind, payload []byte) {
-	tab := c.node.sessions
-	if tab == nil || req.Flags&wire.FlagOneWay != 0 {
-		return
-	}
-	if req.Kind != wire.KindRequest && req.Kind < wire.KindCustom {
-		return
-	}
-	if sid, seq, ok := wire.PeekSession(req.Payload); ok {
-		tab.Commit(sid, seq, kind, kind == wire.KindError, payload)
+	if sid, seq, ok := SessionStamp(req); ok {
+		c.node.sessions.Commit(sid, seq, kind, kind == wire.KindError, payload)
 	}
 }
 

@@ -434,13 +434,22 @@ func TestReplaceHandler(t *testing.T) {
 
 func TestReqIDOriginsDiffer(t *testing.T) {
 	// Two contexts (think: two incarnations of a restarted process) must
-	// not mint colliding request-id sequences — remote reply caches key
-	// on (address, id).
+	// not mint colliding request-id sequences — remote dedup tables key a
+	// session on (address, conversation) and order it by sequence, so each
+	// context draws its own conversation (high half) and counts the
+	// sequence (low half) from 1.
 	n1, _ := twoNodes(t)
 	c1, _ := n1.NewContext()
 	c2, _ := n1.NewContext()
-	if c1.NextReqID() == c2.NextReqID() {
-		t.Error("two fresh contexts minted identical first request ids")
+	a, b := c1.NextReqID(), c2.NextReqID()
+	if a>>32 == b>>32 {
+		t.Errorf("two fresh contexts drew the same conversation id: %#x, %#x", a, b)
+	}
+	if uint32(a) != 1 || uint32(b) != 1 || c1.NextReqID() != a+1 {
+		t.Errorf("first request ids %#x, %#x: want sequence 1 in the low half, counting up", a, b)
+	}
+	if n1.SessionTable() == nil {
+		t.Error("a node built without WithSessions has no dedup table")
 	}
 }
 

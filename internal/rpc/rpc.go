@@ -1,8 +1,10 @@
 // Package rpc implements the classic remote-procedure-call baseline the
 // proxy principle is positioned against, and the reliability machinery
 // smart proxies reuse: client-side retransmission under a stable request
-// id, and server-side duplicate suppression with a bounded reply cache
-// (at-most-once execution semantics in the style of Birrell & Nelson).
+// id, every re-send flagged, and server-side duplicate suppression that
+// answers, drops or refuses a retransmission from the hosting node's
+// session.Table and never runs it twice (at-most-once execution
+// semantics in the style of Birrell & Nelson).
 //
 // The layer is payload-agnostic: it moves opaque bytes. Invocation
 // marshalling lives above it (internal/core), and service-private proxy
@@ -94,7 +96,7 @@ func WithBackoff(factor float64, max time.Duration) ClientOption {
 // never so short that a healthy peer is retransmitted at before it had
 // the time to answer — a draw from all of (0, interval] did that to one
 // or two calls per thousand, each an extra frame and a duplicate for the
-// server's reply cache to absorb.
+// server's dedup table to absorb.
 func WithJitter(on bool) ClientOption {
 	return func(c *Client) {
 		c.jitter = on

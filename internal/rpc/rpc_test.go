@@ -1,9 +1,11 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/netsim"
+	"repro/internal/session"
 	"repro/internal/wire"
 )
 
@@ -45,8 +48,8 @@ func newRig(t *testing.T, netOpts []netsim.NetworkOption, cliOpts ...ClientOptio
 	return &rig{net: net, client: NewClient(c1, cliOpts...), srvCtx: c2}
 }
 
-func (r *rig) serve(h Handler, opts ...ServerOption) (wire.ObjAddr, *Server) {
-	srv := NewServer(h, opts...)
+func (r *rig) serve(h Handler) (wire.ObjAddr, *Server) {
+	srv := NewServer(h)
 	id := r.srvCtx.Register(srv)
 	return wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, srv
 }
@@ -133,17 +136,19 @@ func TestAtMostOnceUnderLoss(t *testing.T) {
 }
 
 func TestAtLeastOnceWithoutReplyCache(t *testing.T) {
-	// Ablation: disabling the reply cache (WithReplyCache(0)) lets
-	// duplicate executions through — demonstrating why the cache exists.
+	// Ablation: a bare kernel handler — an rpc.Server without its dedup
+	// lookup — runs every retransmission it is handed, which is why the
+	// lookup exists.
 	var executions atomic.Int64
 	r := newRig(t,
 		[]netsim.NetworkOption{netsim.WithSeed(11)},
 		WithRetryInterval(5*time.Millisecond), WithMaxAttempts(100))
 	r.net.SetLink(2, 1, netsim.LinkConfig{LossRate: 0.7})
-	dst, _ := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
+	id := r.srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
 		executions.Add(1)
-		return wire.KindReply, nil, nil
-	}), WithReplyCache(0))
+		_ = ktx.Respond(f, wire.KindReply, nil)
+	}))
+	dst := wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}
 	const calls = 20
 	for i := 0; i < calls; i++ {
 		if _, err := r.client.Call(context.Background(), dst, wire.KindRequest, nil); err != nil {
@@ -151,7 +156,7 @@ func TestAtLeastOnceWithoutReplyCache(t *testing.T) {
 		}
 	}
 	if got := executions.Load(); got <= calls {
-		t.Errorf("executed %d times for %d calls; expected duplicates without reply cache", got, calls)
+		t.Errorf("executed %d times for %d calls; expected duplicates without dedup", got, calls)
 	}
 }
 
@@ -230,23 +235,27 @@ func TestCustomKindRoundTrip(t *testing.T) {
 }
 
 func TestReplyCacheEviction(t *testing.T) {
-	// A tiny reply cache must stay bounded and keep only the newest entries.
-	r := newRig(t, nil)
+	// The replies a caller leaves behind stay bounded by the table's
+	// per-session window.
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 2, kernel.WithSessions(session.NewTable(session.Config{RepliesPerSession: 4})))
 	var executions atomic.Int64
-	dst, srv := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
+	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(NewServer(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
 		executions.Add(1)
 		return wire.KindReply, []byte(fmt.Sprintf("r%d", req.ReqID)), nil
-	}), WithReplyCache(4))
+	})))}
+	client := NewClient(attachContext(t, net, 1))
 	for i := 0; i < 20; i++ {
-		if _, err := r.client.Call(context.Background(), dst, wire.KindRequest, nil); err != nil {
+		if _, err := client.Call(context.Background(), dst, wire.KindRequest, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := executions.Load(); got != 20 {
 		t.Errorf("executed %d, want 20", got)
 	}
-	if size := srv.cacheLen(r.client.Context().Addr()); size > 4 {
-		t.Errorf("cache holds %d entries, bound is 4", size)
+	if st := srvCtx.Node().SessionTable().Stats(); st.Replies > 4 || st.Sessions != 1 {
+		t.Errorf("table holds %d replies in %d sessions, bound is 4 in 1", st.Replies, st.Sessions)
 	}
 }
 
@@ -296,8 +305,11 @@ func TestOneWayRequestNotCached(t *testing.T) {
 	if executions.Load() != 1 {
 		t.Fatalf("one-way executed %d times", executions.Load())
 	}
-	if size := srv.cacheLen(r.client.Context().Addr()); size != 0 {
-		t.Errorf("one-way request cached (%d entries)", size)
+	if st := r.srvCtx.Node().SessionTable().Stats(); st.Sessions != 0 || st.Replies != 0 {
+		t.Errorf("one-way request left %d sessions, %d replies in the dedup table", st.Sessions, st.Replies)
+	}
+	if st := srv.Stats(); st.Executed != 1 {
+		t.Errorf("server stats = %+v, want one execution", st)
 	}
 }
 
@@ -349,84 +361,14 @@ func TestBackoffGrowsInterval(t *testing.T) {
 	}
 }
 
-func TestPerClientCacheIsolation(t *testing.T) {
-	// One chatty client must not evict another client's
-	// duplicate-suppression entries: B's cached reply survives a flood of
-	// A-calls even with a tiny per-client bound.
-	net := netsim.New()
-	t.Cleanup(net.Close)
-	srvCtx := attachContext(t, net, 1)
-	var executions atomic.Int64
-	srv := NewServer(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
-		executions.Add(1)
-		return wire.KindReply, []byte("r"), nil
-	}), WithReplyCache(4))
-	id := srvCtx.Register(srv)
-	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: id}
-
-	clientB := NewClient(attachContext(t, net, 2))
-	clientA := NewClient(attachContext(t, net, 3))
-	ctx := context.Background()
-
-	// B makes one call; remember its request id by replaying the frame by
-	// hand afterwards.
-	bReq, bCh, err := clientB.Context().NewPending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := &wire.Frame{Kind: wire.KindRequest, ReqID: bReq, Dst: dst.Addr, Object: dst.Object}
-	if err := clientB.Context().Send(frame); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-bCh:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no reply for B")
-	}
-	clientB.Context().CancelPending(bReq)
-
-	// A floods: far more calls than the per-client bound.
-	for i := 0; i < 40; i++ {
-		if _, err := clientA.Call(ctx, dst, wire.KindRequest, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// B retransmits its original request: it must be served from B's own
-	// cache (no new execution).
-	before := executions.Load()
-	bCh2 := make(chan *wire.Frame, 1)
-	// Reuse the pending machinery: register the same id again.
-	bReq2, ch, err := clientB.Context().NewPending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = bReq2
-	_ = bCh2
-	retrans := &wire.Frame{Kind: wire.KindRequest, Flags: wire.FlagRetransmit, ReqID: bReq, Dst: dst.Addr, Object: dst.Object}
-	if err := clientB.Context().Send(retrans); err != nil {
-		t.Fatal(err)
-	}
-	// The reply correlates to bReq, which we no longer await; instead just
-	// give the server a moment and assert no re-execution.
-	time.Sleep(50 * time.Millisecond)
-	_ = ch
-	if got := executions.Load(); got != before {
-		t.Errorf("retransmission re-executed: %d -> %d (B's cache evicted by A)", before, got)
-	}
-	if st := srv.Stats(); st.DupCached == 0 {
-		t.Error("retransmission was not served from the cache")
-	}
-}
-
 // attachContext puts a node of its own on net and opens one context on it.
-func attachContext(t *testing.T, net *netsim.Network, id wire.NodeID) *kernel.Context {
+func attachContext(t *testing.T, net *netsim.Network, id wire.NodeID, opts ...kernel.NodeOption) *kernel.Context {
 	t.Helper()
 	ep, err := net.Attach(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := kernel.NewNode(ep)
+	node := kernel.NewNode(ep, opts...)
 	t.Cleanup(func() { node.Close() })
 	ktx, err := node.NewContext()
 	if err != nil {
@@ -435,14 +377,251 @@ func attachContext(t *testing.T, net *netsim.Network, id wire.NodeID) *kernel.Co
 	return ktx
 }
 
-// TestClientTableEviction pins the bounded-state trade-off of the
-// per-client LRU: beyond clientLimit the coldest client's whole
-// conversation table goes, so its retransmission executes again, while
-// the clients that stayed warm are still answered from their caches.
-func TestClientTableEviction(t *testing.T) {
+// caller drives a context by hand, one frame at a time, so a test decides
+// which request ids are sent, in what order and with which flags. It sees
+// every response that reaches its node, including one to a request the
+// kernel no longer awaits (a retransmission's second answer).
+type caller struct {
+	t    *testing.T
+	ktx  *kernel.Context
+	dst  wire.ObjAddr
+	resp chan *wire.Frame
+}
+
+func newCaller(t *testing.T, net *netsim.Network, id wire.NodeID, dst wire.ObjAddr) *caller {
+	c := &caller{t: t, dst: dst, resp: make(chan *wire.Frame, 8)} // one send is outstanding at a time
+	c.ktx = attachContext(t, net, id, kernel.WithTrace(func(dir kernel.TraceDirection, f *wire.Frame) {
+		if dir == kernel.TraceRecv && f.Flags&wire.FlagResponse != 0 {
+			g := *f
+			g.Payload = append([]byte(nil), f.Payload...)
+			c.resp <- &g
+		}
+	}))
+	return c
+}
+
+// send transmits request id with flags and returns the response to it.
+func (c *caller) send(id uint64, flags uint16, payload []byte) *wire.Frame {
+	c.t.Helper()
+	if err := c.ktx.Send(&wire.Frame{Kind: wire.KindRequest, Flags: flags, ReqID: id, Dst: c.dst.Addr, Object: c.dst.Object, Payload: payload}); err != nil {
+		c.t.Fatal(err)
+	}
+	for {
+		select {
+		case f := <-c.resp:
+			if f.ReqID == id {
+				return f
+			}
+		case <-time.After(5 * time.Second):
+			c.t.Fatalf("no response to request %#x from %v", id, c.ktx.Addr())
+		}
+	}
+}
+
+// call sends one fresh request and returns its id.
+func (c *caller) call(payload []byte) uint64 {
+	c.t.Helper()
+	id := c.ktx.NextReqID()
+	if f := c.send(id, 0, payload); f.Kind != wire.KindReply {
+		c.t.Fatalf("request %#x answered %v %q", id, f.Kind, f.Payload)
+	}
+	return id
+}
+
+// wantRefused checks that f is the explicit session-expired refusal.
+func wantRefused(t *testing.T, f *wire.Frame) {
+	t.Helper()
+	if f.Kind != wire.KindError || !bytes.Equal(f.Payload, session.ExpiredPayload()) {
+		t.Errorf("response = %v %q, want KindError carrying session.ExpiredPayload()", f.Kind, f.Payload)
+	}
+}
+
+// putServer serves "key=value" puts into a map and counts them per key.
+type putServer struct {
+	mu    sync.Mutex
+	store map[string]string
+	puts  map[string]int
+}
+
+func (p *putServer) Handle(req *Request) (wire.Kind, []byte, []byte) {
+	k, v, _ := strings.Cut(string(req.Frame.Payload), "=")
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.store[k] = v
+	p.puts[k]++
+	return wire.KindReply, nil, nil
+}
+
+// TestLateRetransmissionNeverReexecutes is the stale write: a put is
+// answered, the caller moves on by more requests than any dedup window
+// holds and overwrites the key, and then the first put's retransmission —
+// held up in the network all that time — arrives. It must be refused, not
+// run again over the newer value.
+func TestLateRetransmissionNeverReexecutes(t *testing.T) {
 	net := netsim.New()
 	t.Cleanup(net.Close)
 	srvCtx := attachContext(t, net, 1)
+	kv := &putServer{store: map[string]string{}, puts: map[string]int{}}
+	srv := NewServer(kv)
+	c := newCaller(t, net, 2, wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)})
+
+	first := c.call([]byte("k=v1"))
+	for i := 0; i < 300; i++ {
+		c.call([]byte("other=x"))
+	}
+	c.call([]byte("k=v2"))
+	wantRefused(t, c.send(first, wire.FlagRetransmit, []byte("k=v1")))
+
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if kv.store["k"] != "v2" || kv.puts["k"] != 2 {
+		t.Errorf("store[k] = %q after %d put executions, want v2 after 2", kv.store["k"], kv.puts["k"])
+	}
+	if st := srv.Stats(); st.DupRefused != 1 || st.Executed != 302 {
+		t.Errorf("server stats = %+v, want 1 refusal and 302 executions", st)
+	}
+}
+
+// TestFirstTransmissionBelowFloorExecutes: a request id allocated early
+// and sent late — its goroutine was held off the processor while younger
+// requests committed — has never been presented, so it runs however far
+// the floor has moved past it.
+func TestFirstTransmissionBelowFloorExecutes(t *testing.T) {
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 1, kernel.WithSessions(session.NewTable(session.Config{RepliesPerSession: 4})))
+	srv := NewServer(HandlerFunc(echo))
+	c := newCaller(t, net, 2, wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)})
+
+	held := c.ktx.NextReqID()
+	for i := 0; i < 10; i++ {
+		c.call(nil)
+	}
+	if f := c.send(held, 0, []byte("late")); f.Kind != wire.KindReply || string(f.Payload) != "late" {
+		t.Errorf("first transmission below the floor answered %v %q, want it executed", f.Kind, f.Payload)
+	}
+	// Its own retransmission is then a replay like any other.
+	if f := c.send(held, wire.FlagRetransmit, []byte("late")); f.Kind != wire.KindReply || string(f.Payload) != "late" {
+		t.Errorf("its retransmission answered %v %q, want the cached reply", f.Kind, f.Payload)
+	}
+	if st := srv.Stats(); st.Executed != 11 || st.DupCached != 1 || st.DupRefused != 0 {
+		t.Errorf("server stats = %+v, want 11 executions, 1 replay, no refusal", st)
+	}
+}
+
+// TestRestartedCallerIsNotRefused: a context re-created at the same
+// address draws a new conversation id, so the floor its previous
+// incarnation left behind does not apply to it — even when its request
+// ids are numerically lower and the first transmission was lost.
+func TestRestartedCallerIsNotRefused(t *testing.T) {
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 1, kernel.WithSessions(session.NewTable(session.Config{RepliesPerSession: 4})))
+	srv := NewServer(HandlerFunc(echo))
+	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)}
+
+	old := newCaller(t, net, 2, dst)
+	const oldConv, newConv = uint64(7) << 32, uint64(3) << 32
+	for seq := uint64(1); seq <= 10; seq++ {
+		old.send(oldConv|seq, 0, nil)
+	}
+	wantRefused(t, old.send(oldConv|1, wire.FlagRetransmit, nil)) // the old conversation's floor is real
+	addr := old.ktx.Addr()
+	old.ktx.Node().Close()
+
+	again := newCaller(t, net, 2, dst)
+	if again.ktx.Addr() != addr {
+		t.Fatalf("restarted caller is at %v, want %v", again.ktx.Addr(), addr)
+	}
+	if f := again.send(newConv|1, wire.FlagRetransmit, []byte("hello")); f.Kind != wire.KindReply || string(f.Payload) != "hello" {
+		t.Errorf("restarted caller's retransmission answered %v %q, want it executed", f.Kind, f.Payload)
+	}
+	if st := srv.Stats(); st.Executed != 11 || st.DupRefused != 1 {
+		t.Errorf("server stats = %+v, want 11 executions and the one refusal above", st)
+	}
+}
+
+// TestStampedRequestLooksUpOnce: a request carrying a session stamp is
+// deduplicated by the kernel under (sid, seq) and not a second time under
+// its transmission identity — the table ends with one session, one reply.
+func TestStampedRequestLooksUpOnce(t *testing.T) {
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 1)
+	srv := NewServer(HandlerFunc(echo))
+	c := newCaller(t, net, 2, wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)})
+	tab := srvCtx.Node().SessionTable()
+
+	stamped := wire.AppendSessionHeader(nil, 0xABCD, 1)
+	id := c.call(stamped)
+	if st := tab.Stats(); st.Sessions != 1 || st.Replies != 1 {
+		t.Fatalf("stamped request left %d sessions, %d replies; want 1 and 1", st.Sessions, st.Replies)
+	}
+	if v, _ := tab.Peek(0xABCD, 1); v != session.Replay {
+		t.Errorf("(sid, seq) verdict = %v, want replay", v)
+	}
+	// Its retransmission is answered by the kernel, below the server.
+	if f := c.send(id, wire.FlagRetransmit, stamped); f.Kind != wire.KindReply || !bytes.Equal(f.Payload, stamped) {
+		t.Errorf("retransmission answered %v %q", f.Kind, f.Payload)
+	}
+	if st, ts := srv.Stats(), tab.Stats(); st.Executed != 1 || st.DupCached != 0 || ts.Hits != 1 {
+		t.Errorf("server stats = %+v, table hits = %d; want 1 execution and the replay counted by the table alone", st, ts.Hits)
+	}
+	// An unstamped request is the server's to look up: one more session.
+	c.call(nil)
+	if st := tab.Stats(); st.Sessions != 2 || st.Replies != 2 {
+		t.Errorf("unstamped request left %d sessions, %d replies; want 2 and 2", st.Sessions, st.Replies)
+	}
+}
+
+func TestPerClientCacheIsolation(t *testing.T) {
+	// One chatty client must not evict another client's
+	// duplicate-suppression entries: B's cached reply survives a flood of
+	// A-calls even with a tiny per-client bound.
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 1, kernel.WithSessions(session.NewTable(session.Config{RepliesPerSession: 4})))
+	var executions atomic.Int64
+	srv := NewServer(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
+		executions.Add(1)
+		return wire.KindReply, []byte("r"), nil
+	}))
+	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)}
+
+	b := newCaller(t, net, 2, dst)
+	clientA := NewClient(attachContext(t, net, 3))
+	bReq := b.call(nil)
+
+	// A floods: far more calls than the per-client bound.
+	for i := 0; i < 40; i++ {
+		if _, err := clientA.Call(context.Background(), dst, wire.KindRequest, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// B retransmits its original request: it must be served from B's own
+	// cache (no new execution).
+	before := executions.Load()
+	if f := b.send(bReq, wire.FlagRetransmit, nil); f.Kind != wire.KindReply || string(f.Payload) != "r" {
+		t.Errorf("retransmission answered %v %q, want the cached reply", f.Kind, f.Payload)
+	}
+	if got := executions.Load(); got != before {
+		t.Errorf("retransmission re-executed: %d -> %d (B's cache evicted by A)", before, got)
+	}
+	if st := srv.Stats(); st.DupCached == 0 {
+		t.Error("retransmission was not served from the cache")
+	}
+}
+
+// TestClientTableEviction pins the bounded-state trade-off of the table's
+// session LRU: beyond MaxSessions the coldest caller's whole session goes
+// and leaves a tombstone, so its retransmission is refused — never run
+// again — while the callers that stayed warm are still answered from
+// their cached replies.
+func TestClientTableEviction(t *testing.T) {
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	srvCtx := attachContext(t, net, 1, kernel.WithSessions(session.NewTable(session.Config{MaxSessions: 2})))
 	var mu sync.Mutex
 	runs := map[wire.Addr]int{} // handler executions per caller
 	srv := NewServer(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
@@ -451,69 +630,79 @@ func TestClientTableEviction(t *testing.T) {
 		mu.Unlock()
 		return wire.KindReply, nil, nil
 	}))
-	srv.clientLimit = 2
 	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)}
-	ran := func(ktx *kernel.Context) int {
+	ran := func(c *caller) int {
 		mu.Lock()
 		defer mu.Unlock()
-		return runs[ktx.Addr()]
+		return runs[c.ktx.Addr()]
 	}
 
-	// call sends one fresh request from ktx, waits for its reply and
-	// returns the request id.
-	call := func(ktx *kernel.Context) uint64 {
-		t.Helper()
-		id, ch, err := ktx.NewPending()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ktx.CancelPending(id)
-		if err := ktx.Send(&wire.Frame{Kind: wire.KindRequest, ReqID: id, Dst: dst.Addr, Object: dst.Object}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-ch:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("no reply for %v", ktx.Addr())
-		}
-		return id
-	}
-	// retransmit repeats request id from ktx and waits until the server
-	// has either run it again or answered it from the cache (nobody
-	// awaits the reply, so the counters tell).
-	retransmit := func(ktx *kernel.Context, id uint64) {
-		t.Helper()
-		before := uint64(ran(ktx)) + srv.Stats().DupCached
-		if err := ktx.Send(&wire.Frame{Kind: wire.KindRequest, Flags: wire.FlagRetransmit, ReqID: id, Dst: dst.Addr, Object: dst.Object}); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for uint64(ran(ktx))+srv.Stats().DupCached == before {
-			if time.Now().After(deadline) {
-				t.Fatalf("retransmission from %v never reached the server", ktx.Addr())
-			}
-			time.Sleep(time.Millisecond)
-		}
+	cold, warm1, warm2 := newCaller(t, net, 2, dst), newCaller(t, net, 3, dst), newCaller(t, net, 4, dst)
+	coldID := cold.call(nil)
+	warm1ID := warm1.call(nil)
+	warm2ID := warm2.call(nil) // third caller: the coldest session is evicted
+	if st := srvCtx.Node().SessionTable().Stats(); st.Sessions != 2 || st.Tombstones != 1 {
+		t.Fatalf("table has %d sessions, %d tombstones after a third caller arrived; want 2 and 1", st.Sessions, st.Tombstones)
 	}
 
-	cold, warm1, warm2 := attachContext(t, net, 2), attachContext(t, net, 3), attachContext(t, net, 4)
-	coldID := call(cold)
-	warm1ID := call(warm1)
-	warm2ID := call(warm2) // third client: the coldest table is evicted
-	if n := srv.cacheLen(cold.Addr()); n != 0 {
-		t.Fatalf("coldest client still has %d cached replies after a third client arrived", n)
+	if f := warm1.send(warm1ID, wire.FlagRetransmit, nil); f.Kind != wire.KindReply {
+		t.Errorf("warm caller's retransmission answered %v %q", f.Kind, f.Payload)
 	}
-
-	retransmit(warm1, warm1ID)
-	retransmit(warm2, warm2ID)
+	if f := warm2.send(warm2ID, wire.FlagRetransmit, nil); f.Kind != wire.KindReply {
+		t.Errorf("warm caller's retransmission answered %v %q", f.Kind, f.Payload)
+	}
 	if ran(warm1) != 1 || ran(warm2) != 1 || srv.Stats().DupCached != 2 {
-		t.Errorf("warm clients ran %d and %d times, %d answers from cache; want 1, 1 and 2",
+		t.Errorf("warm callers ran %d and %d times, %d answers from cache; want 1, 1 and 2",
 			ran(warm1), ran(warm2), srv.Stats().DupCached)
 	}
-	retransmit(cold, coldID)
-	if ran(cold) != 2 || srv.Stats().DupCached != 2 {
-		t.Errorf("evicted client ran %d times, %d answers from cache; want its retransmission executed again (2, 2)",
-			ran(cold), srv.Stats().DupCached)
+	wantRefused(t, cold.send(coldID, wire.FlagRetransmit, nil))
+	if st := srv.Stats(); ran(cold) != 1 || st.DupCached != 2 || st.DupRefused != 1 {
+		t.Errorf("evicted caller ran %d times, server stats %+v; want its retransmission refused (1 run, 2 cached, 1 refused)",
+			ran(cold), st)
+	}
+}
+
+// TestClientFlagsEveryResend pins the client half of the
+// first-transmission rule: the first send of a request is unflagged and
+// every re-send carries FlagRetransmit, a re-send whose deadline header
+// was rewritten included.
+func TestClientFlagsEveryResend(t *testing.T) {
+	r := newRig(t, nil, WithRetryInterval(5*time.Millisecond), WithMaxAttempts(50))
+	type arrival struct {
+		flags  uint16
+		budget time.Duration
+	}
+	var mu sync.Mutex
+	var seen []arrival
+	id := r.srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
+		budget, _ := wire.SplitDeadlineHeader(f.Payload)
+		mu.Lock()
+		seen = append(seen, arrival{f.Flags, budget})
+		n := len(seen)
+		mu.Unlock()
+		if n == 4 { // stay silent until the third re-send
+			_ = ktx.Respond(f, wire.KindReply, nil)
+		}
+	}))
+	const total = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), total)
+	defer cancel()
+	payload := append(wire.AppendDeadlineHeader(nil, total), []byte("work")...)
+	if _, err := r.client.Call(ctx, wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, wire.KindRequest, payload); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) < 4 {
+		t.Fatalf("server saw %d transmissions, want at least 4", len(seen))
+	}
+	for i, a := range seen {
+		if flagged := a.flags&wire.FlagRetransmit != 0; flagged != (i > 0) {
+			t.Errorf("transmission %d: FlagRetransmit = %v, want %v", i, flagged, i > 0)
+		}
+		if i > 0 && (a.budget <= 0 || a.budget >= seen[0].budget) {
+			t.Errorf("transmission %d carries budget %v, want it rewritten below the first's %v", i, a.budget, seen[0].budget)
+		}
 	}
 }
 

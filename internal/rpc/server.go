@@ -1,11 +1,10 @@
 package rpc
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/kernel"
+	"repro/internal/session"
 	"repro/internal/wire"
 )
 
@@ -31,80 +30,35 @@ type HandlerFunc func(req *Request) (wire.Kind, []byte, []byte)
 // Handle implements Handler.
 func (fn HandlerFunc) Handle(req *Request) (wire.Kind, []byte, []byte) { return fn(req) }
 
-// ServerOption configures a Server.
-type ServerOption func(*Server)
-
-// WithReplyCache bounds the duplicate-suppression reply cache *per
-// client* (default 128 entries each). Zero disables at-most-once
-// filtering entirely, degrading the server to at-least-once execution —
-// kept as an experiment knob (E7).
-func WithReplyCache(entries int) ServerOption {
-	return func(s *Server) { s.cacheSize = entries }
-}
-
-// defaultClientLimit bounds how many distinct clients' conversation tables
-// the server retains (LRU-evicted). A client whose table was evicted
-// falls back to at-least-once for retransmissions of old requests — the
-// standard trade-off of bounded conversation state.
-const defaultClientLimit = 256
-
 // ServerStats counts server activity.
 type ServerStats struct {
 	Executed    uint64 // requests actually run
-	DupCached   uint64 // duplicates answered from the reply cache
-	DupInFlight uint64 // duplicates dropped because the original is still executing
+	DupCached   uint64 // retransmissions answered from the cached reply
+	DupInFlight uint64 // retransmissions dropped because the original is still executing
+	DupRefused  uint64 // retransmissions too old to answer, refused with session-expired
 }
 
 // Server wraps an application Handler with at-most-once semantics: each
-// (caller, request id) executes once; retransmitted requests are answered
-// from a bounded per-client reply cache or ignored while the original is
-// in flight. Conversation state is isolated per client, so one chatty
-// caller cannot evict another's duplicate-suppression entries. Server
-// implements kernel.Handler, so it registers directly as an object.
+// (caller, request id) executes once. It keeps no state for that: a
+// request is presented to the hosting node's session.Table under the
+// identity every frame carries (sessionOf), so a retransmission is
+// answered from the cached reply, dropped while the original is in
+// flight, or — when the table has forgotten it — refused with
+// session.ExpiredPayload(), never run again. A session-stamped request
+// was deduplicated by the kernel under (session, seq) on its way here and
+// is not looked up twice. Server implements kernel.Handler, so it
+// registers directly as an object.
 type Server struct {
-	handler     Handler
-	cacheSize   int
-	clientLimit int // defaultClientLimit; a field so a test can shrink it
-
-	mu          sync.Mutex
-	clients     map[wire.Addr]*clientState
-	clientOrder *list.List // LRU of clients: front = most recent
+	handler Handler
 
 	executed    atomic.Uint64
 	dupCached   atomic.Uint64
 	dupInFlight atomic.Uint64
-}
-
-// clientState is one caller's conversation table.
-type clientState struct {
-	addr     wire.Addr
-	lruEl    *list.Element
-	inflight map[uint64]bool
-	cache    map[uint64]*list.Element
-	order    *list.List // LRU of entries
-}
-
-type cacheEntry struct {
-	reqID uint64
-	kind  wire.Kind
-	reply []byte
-	isErr bool
+	dupRefused  atomic.Uint64
 }
 
 // NewServer wraps handler with duplicate suppression.
-func NewServer(handler Handler, opts ...ServerOption) *Server {
-	s := &Server{
-		handler:     handler,
-		cacheSize:   128,
-		clientLimit: defaultClientLimit,
-		clients:     make(map[wire.Addr]*clientState),
-		clientOrder: list.New(),
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
+func NewServer(handler Handler) *Server { return &Server{handler: handler} }
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats {
@@ -112,63 +66,57 @@ func (s *Server) Stats() ServerStats {
 		Executed:    s.executed.Load(),
 		DupCached:   s.dupCached.Load(),
 		DupInFlight: s.dupInFlight.Load(),
+		DupRefused:  s.dupRefused.Load(),
 	}
 }
 
-// client returns (creating if needed) the conversation table for addr,
-// marking it most-recently-used and evicting the coldest client beyond
-// the limit.
-func (s *Server) client(addr wire.Addr) *clientState {
-	cs, ok := s.clients[addr]
-	if ok {
-		s.clientOrder.MoveToFront(cs.lruEl)
-		return cs
+// sessionOf names f's transmission identity to a session.Table. A request
+// id is a conversation id over a sequence number (kernel.NewContext): the
+// session is (source address, conversation) and the sequence gives the
+// table's floor its order (offset by one, the floor starts at 0). The
+// key's 96 bits are hashed into the table's 64: two conversations, or one
+// and a minted session id, collide with probability 2⁻⁶⁴ a pair.
+func sessionOf(f *wire.Frame) (sid, seq uint64) {
+	sid = mix64(mix64(uint64(f.Src.Node)<<32|uint64(f.Src.Context)) + f.ReqID>>32)
+	if sid == 0 {
+		sid = 1 // 0 means "no session" to the table
 	}
-	cs = &clientState{
-		addr:     addr,
-		inflight: make(map[uint64]bool),
-		cache:    make(map[uint64]*list.Element),
-		order:    list.New(),
-	}
-	cs.lruEl = s.clientOrder.PushFront(cs)
-	s.clients[addr] = cs
-	for len(s.clients) > s.clientLimit {
-		coldest := s.clientOrder.Back()
-		if coldest == nil {
-			break
-		}
-		s.clientOrder.Remove(coldest)
-		delete(s.clients, coldest.Value.(*clientState).addr)
-	}
-	return cs
+	return sid, f.ReqID&0xFFFFFFFF + 1
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // HandleFrame implements kernel.Handler.
 func (s *Server) HandleFrame(ktx *kernel.Context, f *wire.Frame) {
 	oneWay := f.Flags&wire.FlagOneWay != 0
 
-	if s.cacheSize > 0 && !oneWay {
-		s.mu.Lock()
-		cs := s.client(f.Src)
-		if el, ok := cs.cache[f.ReqID]; ok {
-			ent := el.Value.(*cacheEntry)
-			cs.order.MoveToFront(el)
-			s.mu.Unlock()
+	var tab *session.Table
+	var sid, seq uint64
+	if _, _, stamped := kernel.SessionStamp(f); !stamped && !oneWay {
+		tab = ktx.Node().SessionTable()
+		sid, seq = sessionOf(f)
+		// rpc.Client flags every re-send and the network never duplicates a
+		// frame, so an unflagged request has not been presented before.
+		switch verdict, ent := tab.BeginTransmission(sid, seq, f.Flags&wire.FlagRetransmit != 0); verdict {
+		case session.Replay:
 			s.dupCached.Add(1)
-			if ent.isErr {
-				_ = ktx.RespondError(f, ent.reply)
-			} else {
-				_ = ktx.Respond(f, ent.kind, ent.reply)
-			}
+			_ = ktx.Respond(f, ent.Kind, ent.Payload)
 			return
-		}
-		if cs.inflight[f.ReqID] {
-			s.mu.Unlock()
+		case session.InFlight:
 			s.dupInFlight.Add(1)
 			return // original execution will answer; client keeps waiting
+		case session.Expired:
+			s.dupRefused.Add(1)
+			_ = ktx.RespondError(f, session.ExpiredPayload())
+			return
 		}
-		cs.inflight[f.ReqID] = true
-		s.mu.Unlock()
 	}
 
 	s.executed.Add(1)
@@ -178,56 +126,16 @@ func (s *Server) HandleFrame(ktx *kernel.Context, f *wire.Frame) {
 		Kind:  f.Kind,
 		Frame: f,
 	})
-
-	if s.cacheSize > 0 && !oneWay {
-		s.remember(f.Src, f.ReqID, kind, reply, errPayload)
-	}
 	if oneWay {
 		return
 	}
 	if errPayload != nil {
-		_ = ktx.RespondError(f, errPayload)
-		return
-	}
-	if kind == wire.KindInvalid {
+		kind, reply = wire.KindError, errPayload
+	} else if kind == wire.KindInvalid {
 		kind = wire.KindReply
 	}
+	if tab != nil {
+		tab.Commit(sid, seq, kind, kind == wire.KindError, reply)
+	}
 	_ = ktx.Respond(f, kind, reply)
-}
-
-func (s *Server) remember(from wire.Addr, reqID uint64, kind wire.Kind, reply, errPayload []byte) {
-	ent := &cacheEntry{reqID: reqID, kind: kind, reply: reply}
-	if errPayload != nil {
-		ent.isErr = true
-		ent.reply = errPayload
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cs := s.client(from)
-	delete(cs.inflight, reqID)
-	if el, ok := cs.cache[reqID]; ok {
-		el.Value = ent
-		cs.order.MoveToFront(el)
-		return
-	}
-	cs.cache[reqID] = cs.order.PushFront(ent)
-	for len(cs.cache) > s.cacheSize {
-		oldest := cs.order.Back()
-		if oldest == nil {
-			break
-		}
-		cs.order.Remove(oldest)
-		delete(cs.cache, oldest.Value.(*cacheEntry).reqID)
-	}
-}
-
-// cacheLen reports one client's cached-entry count (tests).
-func (s *Server) cacheLen(from wire.Addr) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cs, ok := s.clients[from]
-	if !ok {
-		return 0
-	}
-	return len(cs.cache)
 }

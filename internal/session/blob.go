@@ -121,7 +121,7 @@ func (t *Table) Restore(blob []byte) error {
 		return err
 	}
 	src = src[n:]
-	now := t.cfg.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sessions = make(map[uint64]*sess)
@@ -235,7 +235,7 @@ func (t *Table) ImportBlob(blob []byte) error {
 		return err
 	}
 	src = src[n:]
-	now := t.cfg.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := uint64(0); i < count; i++ {

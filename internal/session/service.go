@@ -24,7 +24,7 @@ func (s *Service) Invoke(_ context.Context, method string, _ []any) ([]any, erro
 	switch method {
 	case "sessions":
 		if s.tab == nil {
-			return []any{"session: dedup disabled (-session-dedup to enable)\n"}, nil
+			return []any{"session: dedup disabled (no table)\n"}, nil
 		}
 		return []any{FormatStatus(s.tab.Stats(), s.tab.Sessions())}, nil
 	default:

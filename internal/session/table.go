@@ -8,6 +8,9 @@
 // methods safe to retry (Birrell–Nelson at-most-once semantics, held
 // below the object layer so every proxy kind inherits them).
 //
+// rpc.Server presents an unstamped request to the same table under its
+// caller's conversation and request id (BeginTransmission).
+//
 // The table is bounded two ways: whole sessions are evicted LRU/TTL, and
 // each session keeps only its most recent replies. Evicting a session
 // leaves a tombstone recording the highest sequence it had reached, so a
@@ -15,8 +18,8 @@
 // sees CodeSessionExpired) instead of silently re-applying — the
 // standard bounded-at-most-once trade-off, made explicit.
 //
-// The package depends only on wire and codec, so the kernel, the replica
-// layer, and the shard guard can all consult one implementation.
+// The package depends only on wire and codec, so the kernel, rpc, the
+// replica layer, and the shard guard all consult one implementation.
 package session
 
 import (
@@ -149,6 +152,14 @@ type Table struct {
 	evictions atomic.Uint64 // sessions evicted (LRU or TTL)
 }
 
+// now reads the clock for the TTL; a table without one never does.
+func (t *Table) now() time.Time {
+	if t.cfg.TTL <= 0 {
+		return time.Time{}
+	}
+	return t.cfg.now()
+}
+
 // NewTable builds a dedup table.
 func NewTable(cfg Config) *Table {
 	cfg = cfg.withDefaults()
@@ -163,17 +174,28 @@ func NewTable(cfg Config) *Table {
 
 // Begin presents (sid, seq) for execution. Fresh marks it in flight —
 // the caller must Commit or Abort it. Replay returns the cached entry.
+// Any presentation may repeat an earlier one (a failover attempt is a new
+// call under an old identity), so one the table has forgotten is Expired.
 func (t *Table) Begin(sid, seq uint64) (Verdict, *Entry) {
+	return t.BeginTransmission(sid, seq, true)
+}
+
+// BeginTransmission is Begin for a caller that knows which presentations
+// repeat an earlier one. With retransmit false (sid, seq) was never
+// presented before and cannot have executed: it is Fresh however far the
+// floor or a tombstone has moved past it. Only a retransmission the table
+// has forgotten is Expired.
+func (t *Table) BeginTransmission(sid, seq uint64, retransmit bool) (Verdict, *Entry) {
 	if sid == 0 {
 		return Fresh, nil
 	}
-	now := t.cfg.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sweepLocked(now)
 	s, ok := t.sessions[sid]
 	if !ok {
-		if high, dead := t.tombs[sid]; dead && seq <= high {
+		if high, dead := t.tombs[sid]; dead && seq <= high && retransmit {
 			t.expired.Add(1)
 			return Expired, nil
 		}
@@ -189,7 +211,7 @@ func (t *Table) Begin(sid, seq uint64) (Verdict, *Entry) {
 		t.inflightD.Add(1)
 		return InFlight, nil
 	}
-	if seq <= s.floor {
+	if seq <= s.floor && retransmit {
 		t.expired.Add(1)
 		return Expired, nil
 	}
@@ -230,7 +252,8 @@ func (t *Table) Peek(sid, seq uint64) (Verdict, *Entry) {
 
 // Commit records the reply for (sid, seq), clearing its in-flight mark.
 // The payload is copied. Committing an already-committed seq overwrites
-// idempotently (the rpc reply cache may answer the same identity).
+// idempotently. It does not count as activity for the TTL: the Begin
+// that admitted the invocation has just stamped the session.
 func (t *Table) Commit(sid, seq uint64, kind wire.Kind, isErr bool, payload []byte) {
 	t.CommitKeyed(sid, seq, "", kind, isErr, payload)
 }
@@ -248,14 +271,12 @@ func (t *Table) CommitKeyed(sid, seq uint64, key string, kind wire.Kind, isErr b
 		Key:     key,
 		Digest:  Digest(payload),
 	}
-	now := t.cfg.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s, ok := t.sessions[sid]
 	if !ok {
-		s = t.reviveLocked(sid, now)
+		s = t.reviveLocked(sid, t.now())
 	}
-	s.lastActive = now
 	t.lru.MoveToFront(s.lruEl)
 	delete(s.inflight, seq)
 	t.storeLocked(s, seq, e)
@@ -379,7 +400,7 @@ func (t *Table) sweepLocked(now time.Time) {
 // Sweep runs one TTL pass explicitly (timers live with the owner; the
 // table itself starts no goroutines).
 func (t *Table) Sweep() {
-	now := t.cfg.now()
+	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sweepLocked(now)

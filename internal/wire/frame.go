@@ -92,7 +92,10 @@ func (k Kind) String() string {
 const (
 	// FlagOneWay marks a request that expects no reply.
 	FlagOneWay uint16 = 1 << iota
-	// FlagRetransmit marks a retransmitted request (duplicate-suppression hint).
+	// FlagRetransmit marks a re-send of a request already sent under the
+	// same id. rpc.Client sets it on every re-send and the transports
+	// never duplicate a frame, so servers rely on its absence: an
+	// unflagged request has not been presented before and cannot have run.
 	FlagRetransmit
 	// FlagUrgent asks transports to bypass queuing where possible.
 	FlagUrgent
