@@ -49,7 +49,7 @@ const (
 // Only this package produces or parses it. StaleWindow is appended after
 // the read list so hints from pre-brownout exporters decode with a zero
 // window (brownout off) and pre-brownout importers ignore the trailing
-// bytes — the same tolerance every payload header relies on.
+// bytes.
 type hint struct {
 	Ctrl        wire.ObjectID
 	Mode        Mode

@@ -105,7 +105,7 @@ func (co *coordinator) handle(req *rpc.Request) (wire.Kind, []byte, []byte) {
 }
 
 func (co *coordinator) invoke(req *rpc.Request, read bool) (wire.Kind, []byte, []byte) {
-	sc, budget, cap, method, args, err := core.DecodeRequestFull(co.rt.Decoder(), req.Frame.Payload)
+	cap, method, args, err := core.DecodeRequest(co.rt.Decoder(), req.Frame.Payload)
 	if err != nil {
 		return 0, nil, core.EncodeInvokeError("", core.Errorf(core.CodeInternal, "", "%s", err))
 	}
@@ -117,16 +117,14 @@ func (co *coordinator) invoke(req *rpc.Request, read bool) (wire.Kind, []byte, [
 		// against version-skewed or buggy proxies.
 		return 0, nil, core.EncodeInvokeError(method, core.Errorf(core.CodeBadArgs, method, "method is not a read"))
 	}
-	ctx := core.WithCaller(context.Background(), req.From)
-	ctx, cancel := core.ApplyBudget(ctx, budget)
+	ctx, cancel := core.ServeContext(core.WithCaller(context.Background(), req.From), &req.Frame.Envelope)
 	defer cancel()
 	finish := func(error) {}
-	if sc.Trace != 0 {
+	if req.Frame.Envelope.Trace != 0 {
 		name := "cache.serve.write:" + method
 		if read {
 			name = "cache.serve.read:" + method
 		}
-		ctx = obs.ContextWithSpan(ctx, sc)
 		ctx, finish = co.rt.Tracer().StartSpan(ctx, name, co.rt.Where())
 	}
 	results, err := co.inner.Invoke(ctx, method, args)

@@ -154,9 +154,9 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) ([]any, 
 	if !p.reads[method] {
 		return p.write(ctx, method, payload)
 	}
-	// The cache key is the headerless payload: trace headers vary per
-	// invocation and must never reach the keyed bytes, or every lookup
-	// would be a miss. Cache hits are served without a span — they are
+	// The cache key is the request payload: what varies per invocation
+	// (span, deadline budget) rides the frame's envelope and never
+	// reaches the keyed bytes. Cache hits are served without a span — they are
 	// pure local work on the ns scale; misses cross the network and are
 	// traced like any other hop.
 	if results, ok := p.cachedResult(payload); ok {
@@ -204,12 +204,12 @@ func (p *Proxy) readThrough(ctx context.Context, method string, payload []byte) 
 }
 
 // coordCall sends one control-protocol request to the coordinator through
-// the runtime's shared circuit breaker, with ctx headers (deadline budget
-// + trace span) prefixed. The cache proxy thus rides the same
+// the runtime's shared circuit breaker, under the envelope ctx implies
+// (deadline budget, trace span). The cache proxy thus rides the same
 // fault-tolerance substrate as plain stubs: a coordinator node that stops
 // answering trips the breaker for every proxy pointed at it.
 func (p *Proxy) coordCall(ctx context.Context, kind wire.Kind, payload []byte) ([]byte, error) {
-	f, err := p.rt.GuardedCall(ctx, p.ctrl, kind, append(core.AppendCtxHeaders(nil, ctx), payload...))
+	f, err := p.rt.GuardedCall(ctx, p.ctrl, kind, payload)
 	if err != nil {
 		return nil, err
 	}

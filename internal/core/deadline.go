@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -11,97 +12,81 @@ import (
 // Deadline propagation. A client with a ctx deadline has a shrinking
 // budget; work a server performs after that budget expires is wasted —
 // nobody awaits the reply. So the remaining budget rides the request
-// payload as a small header next to the trace header, and servers derive
-// their handler ctx from it, cancelling abandoned work.
+// frame's envelope (wire.Envelope.Budget) next to the span, and servers
+// derive their handler ctx from it, cancelling abandoned work.
 //
 // The budget is relative (a duration, not an absolute time), so it is
-// immune to clock skew between nodes; the cost is that delay the header
+// immune to clock skew between nodes; the cost is that delay the envelope
 // cannot see does not count against it — queueing delay before the
 // server applies the budget. Retransmit delay, by contrast, IS counted:
-// the header is encoded first in the payload (AppendCtxHeaders), and the
-// rpc layer re-encodes the shrunken remaining budget before every
-// retransmission, so a request that spent several retries in flight
-// presents its current budget, not its original one. What slack remains
-// errs on the side of the server doing slightly too much work rather
-// than cancelling live calls — the client's own ctx still bounds what it
-// will wait for.
+// the rpc layer stores the shrunken remaining budget in the envelope
+// before every retransmission, so a request that spent several retries
+// in flight presents its current budget, not its original one. What
+// slack remains errs on the side of the server doing slightly too much
+// work rather than cancelling live calls — the client's own ctx still
+// bounds what it will wait for.
 //
-// The wire format and magic byte live in wire/deadline.go (the rpc layer
-// rewrites the header and cannot import core); this file keeps the
-// policy: which ctx values become headers, and how servers apply them.
+// The wire format lives in wire/envelope.go; this file keeps the policy:
+// which ctx values become envelope fields where a call leaves, and how
+// servers turn them back into a ctx.
 
-// AppendDeadlineHeader prefixes dst with the wire form of a remaining
-// budget: [magic, uvarint nanoseconds]. Non-positive budgets append
-// nothing (an already-expired call fails client-side anyway).
-func AppendDeadlineHeader(dst []byte, budget time.Duration) []byte {
-	return wire.AppendDeadlineHeader(dst, budget)
-}
-
-// SplitDeadlineHeader strips a leading deadline header, returning the
-// budget it carried (zero if absent) and the rest of the payload.
-func SplitDeadlineHeader(payload []byte) (time.Duration, []byte) {
-	return wire.SplitDeadlineHeader(payload)
-}
-
-// AppendCtxHeaders prefixes dst with every header the ctx implies: the
-// request's priority class (if the ctx carries a non-normal one, via
-// WithPriority), the session identity (if the ctx carries one, via
-// ContextWithSession), the remaining deadline budget (if the ctx has a
-// deadline) and the trace span (if the ctx carries one). This is what
-// proxies call when building a request payload. The priority header goes
-// first: the receiving kernel classifies a frame for admission by
-// peeking at payload[0] only. The session header precedes the deadline
-// header so the rpc layer's per-retransmit deadline rewrite never has to
-// move it.
-func AppendCtxHeaders(dst []byte, ctx context.Context) []byte {
-	dst = wire.AppendPriorityHeader(dst, PriorityFrom(ctx))
-	sid, seq := SessionFromContext(ctx)
-	dst = wire.AppendSessionHeader(dst, sid, seq)
+// requestEnvelope derives a call's envelope from its ctx: the admission
+// class (WithPriority), the exactly-once identity (ContextWithSession),
+// what remains of the deadline, and the span. It is the one place ctx
+// values become wire fields; GuardedCall attaches the result to the
+// request frame.
+func requestEnvelope(ctx context.Context) (e wire.Envelope) {
+	e.Priority = PriorityFrom(ctx)
+	e.Session, e.Seq = SessionFromContext(ctx)
 	if dl, ok := ctx.Deadline(); ok {
-		dst = AppendDeadlineHeader(dst, time.Until(dl))
+		e.Budget = time.Until(dl)
 	}
 	sc, _ := obs.SpanFromContext(ctx)
-	return obs.AppendSpanHeader(dst, sc)
+	e.Trace, e.Span = uint64(sc.Trace), uint64(sc.Span)
+	return e
 }
 
-// SplitHeaders strips any combination of priority, session, deadline,
-// and trace headers from the front of a request payload, in any order,
-// returning what the deadline and trace headers carried (zero values
-// when absent) and the bare request body. The priority header was
-// consumed by the kernel's admission decision, and the session header by
-// its dedup consult (wire.PeekSession); servers above them recover the
-// session identity from ctx, not the payload.
-func SplitHeaders(payload []byte) (sc obs.SpanContext, budget time.Duration, body []byte) {
-	body = payload
-	for {
-		if _, rest := wire.SplitPriorityHeader(body); len(rest) != len(body) {
-			body = rest
-			continue
-		}
-		if _, _, rest := wire.SplitSessionHeader(body); len(rest) != len(body) {
-			body = rest
-			continue
-		}
-		if b, rest := SplitDeadlineHeader(body); len(rest) != len(body) {
-			budget, body = b, rest
-			continue
-		}
-		if s, rest := obs.SplitSpanHeader(body); len(rest) != len(body) {
-			sc, body = s, rest
-			continue
-		}
-		return sc, budget, body
+// ServeContext is requestEnvelope's inverse, for the server that handles
+// the request: ctx with the caller's exactly-once identity attached (so
+// layers the service forwards through — replica write path, shard guard
+// — keep it on their inner calls), the caller's span for onward hops to
+// chain under, and the caller's remaining budget as its deadline, so
+// abandoned work cancels instead of completing into the void. The
+// CancelFunc is never nil.
+func ServeContext(ctx context.Context, e *wire.Envelope) (context.Context, context.CancelFunc) {
+	if e.Session != 0 {
+		ctx = ContextWithSession(ctx, e.Session, e.Seq)
 	}
-}
-
-// ApplyBudget derives a server-side ctx from a propagated budget: with a
-// positive budget the ctx expires when the client's will; with none the
-// ctx is returned unchanged. The CancelFunc is never nil.
-func ApplyBudget(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
-	if budget <= 0 {
+	if e.Trace != 0 {
+		ctx = obs.ContextWithSpan(ctx, obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)})
+	}
+	if e.Budget <= 0 {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, budget)
+	return context.WithTimeout(ctx, e.Budget)
+}
+
+// AppendRequestCtx, SplitHeaders and DecodeRequestFull treat the envelope
+// as a payload prefix. No product code does: they stay, as compositions
+// of the envelope codec, for benchmark/ladder.go and benchmark/trace.go
+// until the benchmark-only PR.
+
+// AppendRequestCtx appends ctx's envelope, then the request.
+func AppendRequestCtx(dst []byte, ctx context.Context, cap uint64, method string, args []any) ([]byte, error) {
+	return AppendRequest(requestEnvelope(ctx).Append(dst), cap, method, args)
+}
+
+// SplitHeaders parses an envelope off the front of payload.
+func SplitHeaders(payload []byte) (sc obs.SpanContext, budget time.Duration, body []byte) {
+	e, body, _ := wire.ParseEnvelope(payload)
+	return obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)}, e.Budget, body
+}
+
+// DecodeRequestFull is SplitHeaders, then DecodeRequest.
+func DecodeRequestFull(d *codec.Decoder, payload []byte) (sc obs.SpanContext, budget time.Duration, cap uint64, method string, args []any, err error) {
+	sc, budget, payload = SplitHeaders(payload)
+	cap, method, args, err = DecodeRequest(d, payload)
+	return sc, budget, cap, method, args, err
 }
 
 // priCtxKey marks a ctx with the admission-priority class its
@@ -109,8 +94,8 @@ func ApplyBudget(ctx context.Context, budget time.Duration) (context.Context, co
 type priCtxKey struct{}
 
 // WithPriority marks every invocation under ctx with an admission
-// priority class: the request payload carries it in a leading priority
-// header (wire.PriorityMagic), and overloaded servers shed low before
+// priority class: the request frame's envelope carries it
+// (wire.Envelope.Priority), and overloaded servers shed low before
 // normal and never shed high. System traffic the mesh depends on —
 // replica syncs, shard rebalance steps — stamps wire.PriorityHigh;
 // bulk best-effort work may stamp wire.PriorityLow.

@@ -48,38 +48,67 @@ func fastClient() []rpc.ClientOption {
 	return []rpc.ClientOption{rpc.WithRetryInterval(2 * time.Millisecond), rpc.WithMaxAttempts(4)}
 }
 
+// TestDeadlineHeaderRoundTrip: a ctx's values become envelope fields
+// where the call leaves (requestEnvelope) and a ctx again where it is
+// served (ServeContext).
 func TestDeadlineHeaderRoundTrip(t *testing.T) {
-	if got := AppendDeadlineHeader(nil, 0); len(got) != 0 {
-		t.Errorf("zero budget appended %d bytes", len(got))
+	if e := requestEnvelope(context.Background()); e != (wire.Envelope{}) {
+		t.Errorf("bare ctx produced envelope %+v", e)
 	}
-	hdr := AppendDeadlineHeader(nil, 250*time.Millisecond)
-	budget, rest := SplitDeadlineHeader(append(hdr, 0x09, 0x00))
-	if budget != 250*time.Millisecond || len(rest) != 2 {
-		t.Errorf("split = %v, %d trailing", budget, len(rest))
+	sc := obs.SpanContext{Trace: 0xABCD, Span: 0x1234}
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	ctx = obs.ContextWithSpan(ContextWithSession(WithPriority(ctx, wire.PriorityLow), 5, 2), sc)
+	e := requestEnvelope(ctx)
+	want := wire.Envelope{Priority: wire.PriorityLow, Session: 5, Seq: 2, Budget: e.Budget, Trace: 0xABCD, Span: 0x1234}
+	if e != want || e.Budget <= 0 || e.Budget > 250*time.Millisecond {
+		t.Fatalf("envelope = %+v, want %+v with a budget in (0, 250ms]", e, want)
 	}
-	// Headerless payloads pass through untouched.
-	if b, rest := SplitDeadlineHeader([]byte{0x09, 0x00}); b != 0 || len(rest) != 2 {
-		t.Errorf("headerless split = %v, %d", b, len(rest))
+
+	served, stop := ServeContext(context.Background(), &e)
+	defer stop()
+	if sid, seq := SessionFromContext(served); sid != 5 || seq != 2 {
+		t.Errorf("served ctx carries session (%d, %d), want (5, 2)", sid, seq)
+	}
+	if got, _ := obs.SpanFromContext(served); got != sc {
+		t.Errorf("served ctx carries span %+v, want %+v", got, sc)
+	}
+	if dl, ok := served.Deadline(); !ok || time.Until(dl) > e.Budget {
+		t.Errorf("served ctx deadline = (%v, %v), want within the %v budget", dl, ok, e.Budget)
+	}
+	// The class was the kernel's to act on; it is not the service's.
+	if PriorityFrom(served) != wire.PriorityNormal {
+		t.Error("served ctx inherited the request's admission class")
+	}
+	// No envelope, no change.
+	if bare, stop := ServeContext(ctx, &wire.Envelope{}); bare != ctx {
+		t.Error("empty envelope derived a new ctx")
+	} else {
+		stop()
 	}
 }
 
+// TestSplitHeadersEitherOrder pins the frozen SplitHeaders composition to
+// the envelope parser: fields are read in their one canonical order
+// (deadline before trace), and bytes that present them in the other — the
+// any-order reader this replaced would have taken them — are not an
+// envelope, so nothing is consumed.
 func TestSplitHeadersEitherOrder(t *testing.T) {
 	body := []byte{0x09, 0x00} // an empty codec list
 	sc := obs.SpanContext{Trace: 0xABCD, Span: 0x1234}
-	both := AppendDeadlineHeader(nil, time.Second)
-	both = obs.AppendSpanHeader(both, sc)
+	both := wire.Envelope{Budget: time.Second, Trace: 0xABCD, Span: 0x1234}.Append(nil)
 	both = append(both, body...)
 	gotSC, budget, rest := SplitHeaders(both)
 	if gotSC != sc || budget != time.Second || len(rest) != len(body) {
 		t.Errorf("deadline-first: sc=%v budget=%v rest=%d", gotSC, budget, len(rest))
 	}
 
-	rev := obs.AppendSpanHeader(nil, sc)
-	rev = AppendDeadlineHeader(rev, time.Second)
+	rev := wire.Envelope{Trace: 0xABCD, Span: 0x1234}.Append(nil)
+	rev = wire.Envelope{Budget: time.Second}.Append(rev)
 	rev = append(rev, body...)
 	gotSC, budget, rest = SplitHeaders(rev)
-	if gotSC != sc || budget != time.Second || len(rest) != len(body) {
-		t.Errorf("span-first: sc=%v budget=%v rest=%d", gotSC, budget, len(rest))
+	if gotSC.Trace != 0 || budget != 0 || len(rest) != len(rev) {
+		t.Errorf("span-first: sc=%v budget=%v rest=%d, want nothing consumed", gotSC, budget, len(rest))
 	}
 
 	gotSC, budget, rest = SplitHeaders(body)
@@ -134,8 +163,8 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 }
 
 func TestHeaderlessRequestStillServes(t *testing.T) {
-	// A pre-deadline peer sends a bare [cap, method] payload with no
-	// headers at all; the server must decode and serve it unchanged.
+	// A caller that sends a bare [cap, method] payload with no envelope
+	// at all is served like any other.
 	w := newFaultWorld(t, 2, fastClient())
 	server, client := w.runtimes[0], w.runtimes[1]
 	ref, err := server.Export(&counter{n: 41}, "Counter")

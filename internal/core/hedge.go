@@ -15,7 +15,7 @@ import (
 // *alternate* binding after waiting roughly the p95 latency converts
 // the tail into the alternate's median. The races are first-wins: the
 // loser's ctx is cancelled the moment either attempt succeeds, and the
-// deadline header makes the abandoned server stop working on it.
+// envelope's deadline budget makes the abandoned server stop working on it.
 //
 // Hedging re-executes requests by design, so it rides the same
 // idempotency licensing as failover replay (Runtime.RegisterIdempotent,

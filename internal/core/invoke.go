@@ -1,32 +1,26 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 )
 
 // Invocation payload conventions. A request payload is the codec list
-// [cap uint64, method string, arg0, arg1, …], optionally preceded by
-// headers (each introduced by a magic byte outside the codec tag space):
-// a deadline header carrying the client's remaining budget (deadline.go)
-// and a trace header carrying the caller's span (internal/obs), in either
-// order; a reply payload is the codec list [result0, result1, …]; an
+// [cap uint64, method string, arg0, arg1, …] and nothing else: what the
+// call's ctx implies — admission class, exactly-once identity, remaining
+// deadline budget, span — travels beside it in the request frame's
+// envelope (wire.Envelope; deadline.go says which ctx value becomes which
+// field). A reply payload is the codec list [result0, result1, …]; an
 // error payload is the codec struct {Name:"InvokeError", Fields: Code,
 // Method, Msg}. The leading cap is the capability token from the caller's
 // reference (zero when the export is unprotected); servers of protected
 // exports reject mismatches. These conventions are shared by every proxy
 // kind in the repository, but nothing forces a service-private protocol
 // to use them — smart proxies may exchange whatever payloads they like
-// under custom kinds. Every header is optional in both directions:
-// headerless payloads from older peers decode unchanged, and decoders
-// that predate a header never see one (each feature only activates
-// against header-aware servers).
+// under custom kinds.
 
 // EncodeRequest builds a request payload presenting the given capability
 // token. Arguments must already be in wire shape (Runtime.encodeOutbound
@@ -56,59 +50,25 @@ func AppendRequest(dst []byte, cap uint64, method string, args []any) ([]byte, e
 	return dst, nil
 }
 
-// EncodeRequestCtx is EncodeRequest with every header the ctx implies
-// prefixed: the remaining deadline budget and the trace span. It is what
-// header-aware proxies use on their send path.
-func EncodeRequestCtx(ctx context.Context, cap uint64, method string, args []any) ([]byte, error) {
-	return AppendRequestCtx(nil, ctx, cap, method, args)
-}
-
-// AppendRequestCtx is EncodeRequestCtx appending onto dst: headers
-// first, then the request body, in one buffer.
-func AppendRequestCtx(dst []byte, ctx context.Context, cap uint64, method string, args []any) ([]byte, error) {
-	dst = AppendCtxHeaders(dst, ctx)
-	return AppendRequest(dst, cap, method, args)
-}
-
 // DecodeRequest parses a request payload with the given decoder (whose
-// RefHook installs proxies for imported references). Leading headers, if
-// present, are stripped and ignored — callers that propagate traces or
-// deadlines use DecodeRequestTraced / DecodeRequestFull.
+// RefHook installs proxies for imported references).
 func DecodeRequest(d *codec.Decoder, payload []byte) (cap uint64, method string, args []any, err error) {
-	_, cap, method, args, err = DecodeRequestTraced(d, payload)
-	return cap, method, args, err
-}
-
-// DecodeRequestTraced parses a request payload, returning the span
-// context carried in its trace header (zero for headerless payloads). Any
-// deadline header is stripped and ignored.
-func DecodeRequestTraced(d *codec.Decoder, payload []byte) (sc obs.SpanContext, cap uint64, method string, args []any, err error) {
-	sc, _, cap, method, args, err = DecodeRequestFull(d, payload)
-	return sc, cap, method, args, err
-}
-
-// DecodeRequestFull parses a request payload, returning everything its
-// headers carried: the span context (zero when untraced) and the client's
-// remaining deadline budget (zero when absent). Servers pass the budget
-// to ApplyBudget to cancel abandoned work.
-func DecodeRequestFull(d *codec.Decoder, payload []byte) (sc obs.SpanContext, budget time.Duration, cap uint64, method string, args []any, err error) {
-	sc, budget, payload = SplitHeaders(payload)
 	vec, err := d.DecodeArgs(payload)
 	if err != nil {
-		return sc, budget, 0, "", nil, fmt.Errorf("core: decode request: %w", err)
+		return 0, "", nil, fmt.Errorf("core: decode request: %w", err)
 	}
 	if len(vec) < 2 {
-		return sc, budget, 0, "", nil, errors.New("core: short request vector")
+		return 0, "", nil, errors.New("core: short request vector")
 	}
 	c, ok := vec[0].(uint64)
 	if !ok {
-		return sc, budget, 0, "", nil, fmt.Errorf("core: request cap is %T, want uint64", vec[0])
+		return 0, "", nil, fmt.Errorf("core: request cap is %T, want uint64", vec[0])
 	}
 	m, ok := vec[1].(string)
 	if !ok {
-		return sc, budget, 0, "", nil, fmt.Errorf("core: request method is %T, want string", vec[1])
+		return 0, "", nil, fmt.Errorf("core: request method is %T, want string", vec[1])
 	}
-	return sc, budget, c, m, vec[2:], nil
+	return c, m, vec[2:], nil
 }
 
 // EncodeResults builds a reply payload.

@@ -234,14 +234,16 @@ func (rt *Runtime) IsIdempotent(typeName, method string) bool {
 // pressure (see health.Breaker.Pressure) instead of a success.
 const degradePressureScore = 0.75
 
-// GuardedCall is Client().CallFrame behind the destination node's circuit
-// breaker, with the outcome fed back to the breaker and (when attached)
-// the health monitor. Every proxy kind issues its remote calls through
-// it, and breakers are keyed per node — one failing node trips one shared
-// breaker however many proxies (or contexts on that node) the calls
-// target. An open breaker rejects immediately with ErrCircuitOpen —
-// failing fast instead of burning a retransmit budget against a node
-// already known to be down.
+// GuardedCall is Client().CallEnvelope behind the destination node's
+// circuit breaker, with the outcome fed back to the breaker and (when
+// attached) the health monitor. It is where a call leaves: the request
+// carries the envelope ctx implies (requestEnvelope) and payload stays
+// whatever the proxy's private protocol says. Every proxy kind issues its
+// remote calls through it, and breakers are keyed per node — one failing
+// node trips one shared breaker however many proxies (or contexts on that
+// node) the calls target. An open breaker rejects immediately with
+// ErrCircuitOpen — failing fast instead of burning a retransmit budget
+// against a node already known to be down.
 func (rt *Runtime) GuardedCall(ctx context.Context, dst wire.ObjAddr, kind wire.Kind, payload []byte) (*wire.Frame, error) {
 	br := rt.breakers.For(dst.Addr.Node)
 	ok, probe := br.Admit()
@@ -250,7 +252,7 @@ func (rt *Runtime) GuardedCall(ctx context.Context, dst wire.ObjAddr, kind wire.
 		return nil, fmt.Errorf("%w: %s", ErrCircuitOpen, dst.Addr)
 	}
 	start := time.Now()
-	f, err := rt.client.CallFrame(ctx, dst, kind, payload)
+	f, err := rt.client.CallEnvelope(ctx, dst, kind, requestEnvelope(ctx), payload)
 	switch {
 	case err == nil || isRemoteAnswer(err):
 		// Any answer — even an error frame — proves the node serves. The

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 )
@@ -104,7 +103,7 @@ func (so *serverObject) handle(req *rpc.Request) (wire.Kind, []byte, []byte) {
 		}
 		return KindBatch, reply, nil
 	}
-	sc, budget, cap, method, args, err := DecodeRequestFull(so.rt.decoder(), req.Frame.Payload)
+	cap, method, args, err := DecodeRequest(so.rt.decoder(), req.Frame.Payload)
 	if err != nil {
 		return 0, nil, EncodeInvokeError("", &InvokeError{Code: CodeInternal, Msg: err.Error()})
 	}
@@ -112,24 +111,13 @@ func (so *serverObject) handle(req *rpc.Request) (wire.Kind, []byte, []byte) {
 		return 0, nil, EncodeInvokeError(method, &InvokeError{Code: CodeDenied, Method: method, Msg: "capability required"})
 	}
 	so.rt.serveCalls.Inc()
-	ctx := so.callerContext(req.From)
-	if sid, seq, ok := wire.PeekSession(req.Frame.Payload); ok {
-		// Recover the exactly-once identity the stub stamped, so layers
-		// the service forwards through (replica write path, shard guard)
-		// keep it attached to their inner calls.
-		ctx = ContextWithSession(ctx, sid, seq)
-	}
-	// The request carried the client's remaining budget: expire our ctx
-	// when theirs does, so abandoned work cancels instead of completing
-	// into the void.
-	ctx, cancel := ApplyBudget(ctx, budget)
+	ctx, cancel := ServeContext(so.callerContext(req.From), &req.Frame.Envelope)
 	defer cancel()
 	finish := func(error) {}
-	if sc.Trace != 0 {
-		// Parent the serve span under the caller's stub span and thread it
-		// through ctx, so any onward hops the service makes (smart-proxy
-		// fan-out included) chain into the same tree.
-		ctx = obs.ContextWithSpan(ctx, sc)
+	if req.Frame.Envelope.Trace != 0 {
+		// Parent the serve span under the caller's stub span, so any
+		// onward hops the service makes (smart-proxy fan-out included)
+		// chain into the same tree.
 		ctx, finish = so.rt.Tracer().StartSpan(ctx, "serve:"+method, so.rt.where)
 	}
 	results, err := so.service().Invoke(ctx, method, args)

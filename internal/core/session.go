@@ -8,11 +8,11 @@ import (
 
 // Session propagation. When a runtime is built with WithSessions, its
 // stubs mint one (session id, sequence) identity per logical invocation
-// of a non-idempotent method and stamp it on the request payload (the
-// 0xF8 header, wire/session.go). The identity is allocated ONCE, before
-// the failover loop: every retransmission and every alternate binding
-// presents the same pair, so a server-side dedup table recognizes the
-// retry however it arrives. Idempotent methods (RegisterIdempotent /
+// of a non-idempotent method and stamp it on the request frame's
+// envelope (wire.Envelope.Session, Seq). The identity is allocated ONCE,
+// before the failover loop: every retransmission and every alternate
+// binding presents the same pair, so a server-side dedup table recognizes
+// the retry however it arrives. Idempotent methods (RegisterIdempotent /
 // WithIdempotent) skip the stamp entirely — re-execution is harmless by
 // declaration, so caching their replies would be pure overhead; the
 // licensing survives as exactly that optimization hint.
@@ -37,13 +37,17 @@ type sessCtxKey struct{}
 type sessID struct{ sid, seq uint64 }
 
 // ContextWithSession stamps ctx with an invocation's exactly-once
-// identity; AppendCtxHeaders encodes it as the 0xF8 session header.
+// identity; every call that leaves under ctx carries it in its envelope.
 // Layers that forward one logical invocation through an inner call path
 // (the replica proxy's write path, the shard guard) use it to keep the
-// identity attached.
+// identity attached. A zero sid detaches it: a call a proxy makes beside
+// the invocation (a routing-table fetch) must not present the
+// invocation's identity, or the reply cached for one answers the other.
 func ContextWithSession(ctx context.Context, sid, seq uint64) context.Context {
 	if sid == 0 {
-		return ctx
+		if cur, _ := SessionFromContext(ctx); cur == 0 {
+			return ctx
+		}
 	}
 	return context.WithValue(ctx, sessCtxKey{}, sessID{sid, seq})
 }

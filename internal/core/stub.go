@@ -109,8 +109,8 @@ func (s *Stub) SetIdempotent(methods ...string) {
 
 // Invoke implements Proxy. When the caller's ctx carries a trace (opened
 // via obs.Tracer.StartSpan, e.g. by proxyctl -trace), the stub records an
-// invoke span and the request payload carries the span in its trace
-// header for the server side to parent under. Untraced invocations skip
+// invoke span and the request's envelope carries the span for the
+// server side to parent under. Untraced invocations skip
 // tracing entirely — the hot path stays a single context lookup.
 func (s *Stub) Invoke(ctx context.Context, method string, args ...any) ([]any, error) {
 	if s.closed.Load() {
@@ -216,19 +216,19 @@ func (s *Stub) invoke(ctx context.Context, method string, args []any) ([]any, er
 
 // callBinding runs the invocation against one binding, following
 // migration forwards. Transport-level failures return unconverted, so
-// invoke can classify whether failing over is safe. The deadline header
-// inside payload snapshots the remaining budget once per binding;
-// retransmissions reuse it, so a request that spent retries in flight
-// arrives with a stale, over-generous budget (see deadline.go).
+// invoke can classify whether failing over is safe. The remaining
+// deadline budget is taken afresh each time the request leaves — per
+// binding, per forwarding hop (GuardedCall) and per retransmission (the
+// rpc layer; see deadline.go).
 func (s *Stub) callBinding(ctx context.Context, ref codec.Ref, method string, lowered []any) ([]any, error) {
 	// The request payload lives in a pooled buffer: every transport copies
 	// it before GuardedCall returns (netsim clones the frame, TCP encodes
-	// into its staging buffer) and retransmission rewrites copy too, so
-	// releasing at return cannot leave an alias behind.
+	// into its staging buffer), so releasing at return cannot leave an
+	// alias behind.
 	pb := wire.GetBuf()
 	defer pb.Release()
 	var err error
-	if pb.B, err = AppendRequestCtx(pb.B[:0], ctx, ref.Cap, method, lowered); err != nil {
+	if pb.B, err = AppendRequest(pb.B[:0], ref.Cap, method, lowered); err != nil {
 		return nil, &InvokeError{Code: CodeInternal, Method: method, Msg: err.Error()}
 	}
 	payload := pb.B
@@ -254,7 +254,7 @@ func (s *Stub) callBinding(ctx context.Context, ref codec.Ref, method string, lo
 				return nil, &InvokeError{Code: CodeInternal, Method: method, Msg: err.Error()}
 			}
 			if newRef.Cap != ref.Cap {
-				if pb.B, err = AppendRequestCtx(pb.B[:0], ctx, newRef.Cap, method, lowered); err != nil {
+				if pb.B, err = AppendRequest(pb.B[:0], newRef.Cap, method, lowered); err != nil {
 					return nil, &InvokeError{Code: CodeInternal, Method: method, Msg: err.Error()}
 				}
 				payload = pb.B

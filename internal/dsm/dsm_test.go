@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -105,30 +106,39 @@ func TestRepeatedWritesAreLocal(t *testing.T) {
 	}
 }
 
+// Pages 247 and 248 encode (uvarint) to F7 01 and F8 01, the magics of the
+// envelope's priority and session fields: a page message is private to
+// this package and must mean the same whatever byte it opens with.
 func TestWriteInvalidatesReaders(t *testing.T) {
+	for _, page := range []PageID{1, 247, 248} {
+		t.Run(fmt.Sprint("page", page), func(t *testing.T) { writeInvalidatesReaders(t, page) })
+	}
+}
+
+func writeInvalidatesReaders(t *testing.T, page PageID) {
 	w := newDSMWorld(t, 3, WithPageSize(16))
 	ctx := context.Background()
 	a, b, c := w.agents[0], w.agents[1], w.agents[2]
 
-	if err := a.WriteAt(ctx, 1, 0, []byte{1}); err != nil {
+	if err := a.WriteAt(ctx, page, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	// b and c read (downgrading a, joining the copyset).
 	for _, ag := range []*Agent{b, c} {
-		got, err := ag.ReadAt(ctx, 1, 0, 1)
+		got, err := ag.ReadAt(ctx, page, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got[0] != 1 {
-			t.Fatalf("read %d", got[0])
+			t.Fatalf("read %d want 1", got[0])
 		}
 	}
 	// a writes again: b and c must fault on their next read and see v2.
-	if err := a.WriteAt(ctx, 1, 0, []byte{2}); err != nil {
+	if err := a.WriteAt(ctx, page, 0, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
 	for i, ag := range []*Agent{b, c} {
-		got, err := ag.ReadAt(ctx, 1, 0, 1)
+		got, err := ag.ReadAt(ctx, page, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -284,8 +284,8 @@ func (s *Sequencer) Deliver(ctx context.Context, epoch, seq uint64, payload []by
 	}
 	// Deliveries are the mesh's own traffic: a member whose admission
 	// controller shed them under user load would stall the group and get
-	// itself evicted. The priority header exempts them from shedding.
-	msg = append(wire.AppendPriorityHeader(make([]byte, 0, 2+len(msg)), wire.PriorityHigh), msg...)
+	// itself evicted. High priority exempts them from shedding.
+	high := wire.Envelope{Priority: wire.PriorityHigh}
 	var wg sync.WaitGroup
 	var failedMu sync.Mutex
 	var failed []wire.ObjAddr
@@ -296,7 +296,7 @@ func (s *Sequencer) Deliver(ctx context.Context, epoch, seq uint64, payload []by
 			defer wg.Done()
 			dctx, cancel := context.WithTimeout(ctx, s.deliverTimeout)
 			defer cancel()
-			if _, err := s.rt.Client().Call(dctx, m, KindDeliver, msg); err != nil {
+			if _, err := s.rt.Client().CallEnvelope(dctx, m, KindDeliver, high, msg); err != nil {
 				failedMu.Lock()
 				if isFenced(err) {
 					fenced = true
@@ -504,8 +504,7 @@ func (m *Member) handleDeliver(req *rpc.Request) (wire.Kind, []byte, []byte) {
 		}
 		return 0, nil, core.EncodeInvokeError("", core.Errorf(core.CodeInternal, "", "group: unexpected kind %v", req.Kind))
 	}
-	_, body := wire.SplitPriorityHeader(req.Frame.Payload)
-	vals, err := codec.DecodeArgs(body)
+	vals, err := codec.DecodeArgs(req.Frame.Payload)
 	if err != nil || len(vals) != 3 {
 		return 0, nil, core.EncodeInvokeError("deliver", core.Errorf(core.CodeBadArgs, "deliver", "malformed delivery"))
 	}

@@ -41,6 +41,30 @@ func saturatedPair(t *testing.T, cfg overload.Config, trace func(TraceDirection,
 	return c1, c2, obj, started, release
 }
 
+// callEnveloped is Context.Call for a request that carries an envelope.
+func callEnveloped(c *Context, dst wire.Addr, obj wire.ObjectID, kind wire.Kind, env wire.Envelope, payload []byte) (*wire.Frame, error) {
+	id, ch, err := c.NewPending()
+	if err != nil {
+		return nil, err
+	}
+	defer c.CancelPending(id)
+	if err := c.Send(&wire.Frame{Kind: kind, ReqID: id, Dst: dst, Object: obj, Envelope: env, Payload: payload}); err != nil {
+		return nil, err
+	}
+	select {
+	case resp := <-ch:
+		if resp == nil {
+			return nil, ErrClosed
+		}
+		if resp.Kind == wire.KindError {
+			return nil, RemoteErrorFrom(resp)
+		}
+		return resp, nil
+	case <-time.After(10 * time.Second):
+		return nil, context.DeadlineExceeded
+	}
+}
+
 func TestAdmissionShedsWithPushback(t *testing.T) {
 	c1, c2, obj, started, release := saturatedPair(t, overload.Config{
 		MinLimit: 1, MaxLimit: 1, InitialLimit: 1,
@@ -102,9 +126,8 @@ func TestAdmissionHighPriorityBypassesSaturation(t *testing.T) {
 	// With the only slot held, a high-priority request must still be
 	// dispatched immediately (it bypasses the limit) — the handler
 	// starts even though the first call still blocks.
-	payload := append(wire.AppendPriorityHeader(nil, wire.PriorityHigh), []byte("sync")...)
 	go func() {
-		_, _ = c1.Call(context.Background(), c2.Addr(), obj, wire.KindRequest, 0, payload)
+		_, _ = callEnveloped(c1, c2.Addr(), obj, wire.KindRequest, wire.Envelope{Priority: wire.PriorityHigh}, []byte("sync"))
 	}()
 	select {
 	case <-started:

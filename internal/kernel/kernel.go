@@ -3,7 +3,8 @@
 // the kernel's only job is to move frames between objects. It provides
 // request/reply correlation but deliberately does not interpret payloads —
 // invocation semantics live in the layers above (rpc, core), and
-// service-private protocols pass through unexamined.
+// service-private protocols pass through unexamined: admission class and
+// dedup identity are fields of the frame's wire.Envelope, never payload bytes.
 package kernel
 
 import (
@@ -122,8 +123,8 @@ func WithDispatchLimit(n int) NodeOption {
 // briefly when the limit saturates, and shed with a pushback response
 // (KindError + wire.FlagPushback carrying a retry-after hint) when they
 // would wait past the queue deadline. Shed requests therefore fail fast
-// at the sender instead of timing out. Priority classes ride an optional
-// payload header (wire.PriorityMagic): high-priority traffic (replica
+// at the sender instead of timing out. Priority classes ride the frame's
+// envelope (wire.Envelope.Priority): high-priority traffic (replica
 // syncs, rebalance steps) bypasses shedding, low-priority traffic sheds
 // first. System kinds below KindCustom (membership, invalidations,
 // leases, migration) are always treated as high priority — shedding
@@ -168,12 +169,12 @@ func WithTrace(fn func(dir TraceDirection, f *wire.Frame)) NodeOption {
 
 // WithSessions substitutes a configured dedup table for the default one
 // every node has. The table is consulted below the object layer: a
-// session-stamped request (the 0xF8 payload header) whose (session, seq)
+// session-stamped request (wire.Envelope.Session) whose (session, seq)
 // already executed is answered from the cached reply without dispatching
 // a handler; one still executing is dropped (the original will answer
 // the retransmitting client); one whose session the table evicted is
-// refused with the session-expired error. Requests without the header
-// cost one leading-byte peek here; rpc.Server presents those to the same
+// refused with the session-expired error. Requests without a stamp
+// cost one field test here; rpc.Server presents those to the same
 // table under the frame's own identity. Replies sent through
 // Context.Respond/RespondError are recorded automatically; kernel-level
 // no-route and pushback responses bypass recording by construction
@@ -619,7 +620,7 @@ func (c *Context) dispatch(f *wire.Frame) {
 	// object must answer no-route so failover knows the request never ran
 	// — and before admission, so a replay is answered from cache even on
 	// a saturated node. Only session-stamped requests take this path; the
-	// common unstamped case costs one leading-byte peek.
+	// common unstamped case costs one field test.
 	tab := c.node.sessions
 	sessSID, sessSeq, sessionBegun := SessionStamp(f)
 	if sessionBegun {
@@ -692,14 +693,14 @@ func (c *Context) replyExpired(f *wire.Frame) {
 }
 
 // SessionStamp reports the (session, seq) identity under which dispatch
-// deduplicates f: the 0xF8 stamp of a two-way invocation or
+// deduplicates f: the envelope's stamp on a two-way invocation or
 // service-private request. A layer above that deduplicates transmissions
 // (rpc.Server) leaves such a frame to the kernel's lookup.
 func SessionStamp(f *wire.Frame) (sid, seq uint64, ok bool) {
 	if f.Flags&wire.FlagOneWay != 0 || (f.Kind != wire.KindRequest && f.Kind < wire.KindCustom) {
 		return 0, 0, false
 	}
-	return wire.PeekSession(f.Payload)
+	return f.Envelope.Session, f.Envelope.Seq, f.Envelope.Session != 0
 }
 
 // recordSession commits an object-layer reply into the dedup table when
@@ -714,12 +715,11 @@ func (c *Context) recordSession(req *wire.Frame, kind wire.Kind, payload []byte)
 
 // admissionClass grades an inbound request for the admission controller.
 // Invocations (KindRequest) and service-private custom kinds carry their
-// class in an optional leading priority header; headerless payloads are
-// normal. System kinds below KindCustom are coordination traffic —
-// invalidations, leases, membership, migration — and are never shed.
+// class in the envelope. System kinds below KindCustom are coordination
+// traffic — invalidations, leases, membership, migration — never shed.
 func admissionClass(f *wire.Frame) wire.Priority {
 	if f.Kind == wire.KindRequest || f.Kind >= wire.KindCustom {
-		return wire.PeekPriority(f.Payload)
+		return f.Envelope.Priority
 	}
 	return wire.PriorityHigh
 }

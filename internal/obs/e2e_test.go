@@ -231,19 +231,20 @@ func TestHeaderlessRequestStillDecodes(t *testing.T) {
 		t.Fatalf("results = %v", results)
 	}
 
-	// And the traced form decodes through the legacy entry point: the
-	// header is stripped and ignored.
-	spanCtx := obs.ContextWithSpan(context.Background(), obs.SpanContext{Trace: 9, Span: 3})
-	traced, err := core.AppendRequestCtx(nil, spanCtx, ref.Cap, "get", []any{"k"})
+	// And the prefix form the benchmark ladder still times (envelope bytes
+	// in front of the request) round-trips through its pair of
+	// compositions.
+	sc := obs.SpanContext{Trace: 9, Span: 3}
+	traced, err := core.AppendRequestCtx(nil, obs.ContextWithSpan(context.Background(), sc), ref.Cap, "get", []any{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, method, args, err := core.DecodeRequest(c.RT(0).Decoder(), traced)
+	gotSC, _, _, method, args, err := core.DecodeRequestFull(c.RT(0).Decoder(), traced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if method != "get" || len(args) != 1 {
-		t.Fatalf("decoded %q %v", method, args)
+	if gotSC != sc || method != "get" || len(args) != 1 {
+		t.Fatalf("decoded %+v %q %v", gotSC, method, args)
 	}
 }
 

@@ -6,8 +6,8 @@
 // The proxy is the natural interposition point for both: every
 // cross-context invocation already funnels through a stub or smart proxy,
 // so instrumenting the proxy layer observes the whole system without
-// touching services. A trace id minted at the outermost stub rides an
-// optional payload header across contexts; each hop — stub invocation,
+// touching services. A trace id minted at the outermost stub rides the
+// request frame's envelope across contexts; each hop — stub invocation,
 // rpc transmission attempt, server dispatch, cache miss, replica
 // broadcast, migration forward — records a span naming its parent, and
 // the resulting spans from any subset of contexts merge into one tree.

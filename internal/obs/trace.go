@@ -17,9 +17,10 @@ import (
 
 // The causal-tracing half of the observability layer. A trace id is minted
 // at the outermost client stub and carried across every context boundary
-// as an optional header prefixed to the request payload; each hop (stub
-// invocation, rpc attempt, server dispatch, smart-proxy fan-out) records a
-// span naming its parent, so a multi-hop chain reconstructs as one tree.
+// in the request frame's envelope (wire.Envelope.Trace, Span); each hop
+// (stub invocation, rpc attempt, server dispatch, smart-proxy fan-out)
+// records a span naming its parent, so a multi-hop chain reconstructs as
+// one tree.
 
 // TraceID identifies one causal chain of invocations.
 type TraceID uint64
@@ -44,6 +45,8 @@ func ParseTraceID(s string) (TraceID, error) {
 
 // SpanContext is the propagated part of a span: which trace this work
 // belongs to and which span caused it. The zero value means "untraced".
+// Between nodes it rides the request frame's envelope
+// (wire.Envelope.Trace and Span).
 type SpanContext struct {
 	Trace TraceID
 	Span  SpanID
@@ -61,44 +64,6 @@ func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
 func SpanFromContext(ctx context.Context) (SpanContext, bool) {
 	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
 	return sc, ok && sc.Trace != 0
-}
-
-// headerMagic introduces a trace header at the front of a request payload.
-// Codec tags occupy 1..13, so a leading 0xF5 is unambiguous: headerless
-// payloads from pre-trace peers start with TagList (9) and decode exactly
-// as before, and pre-trace peers that receive a headered payload fail the
-// decode cleanly rather than misinterpreting it.
-const headerMagic = 0xF5
-
-// AppendSpanHeader prefixes dst with the wire form of sc:
-// [magic, uvarint trace, uvarint span]. A zero sc appends nothing.
-func AppendSpanHeader(dst []byte, sc SpanContext) []byte {
-	if sc.Trace == 0 {
-		return dst
-	}
-	dst = append(dst, headerMagic)
-	dst = wire.AppendUvarint(dst, uint64(sc.Trace))
-	return wire.AppendUvarint(dst, uint64(sc.Span))
-}
-
-// SplitSpanHeader strips a leading trace header from a request payload,
-// returning the carried span context and the remaining payload. Payloads
-// without a header pass through untouched with a zero SpanContext; a
-// truncated header also passes through (the codec layer then reports the
-// malformed payload).
-func SplitSpanHeader(payload []byte) (SpanContext, []byte) {
-	if len(payload) == 0 || payload[0] != headerMagic {
-		return SpanContext{}, payload
-	}
-	tr, n1, err := wire.Uvarint(payload[1:])
-	if err != nil {
-		return SpanContext{}, payload
-	}
-	sp, n2, err := wire.Uvarint(payload[1+n1:])
-	if err != nil {
-		return SpanContext{}, payload
-	}
-	return SpanContext{Trace: TraceID(tr), Span: SpanID(sp)}, payload[1+n1+n2:]
 }
 
 // Span is one recorded hop: a named piece of work in one context,

@@ -5,15 +5,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
+
+// spanEnvelope is how a span context crosses the wire: the trace fields
+// of the request frame's envelope.
+func spanEnvelope(sc SpanContext) wire.Envelope {
+	return wire.Envelope{Trace: uint64(sc.Trace), Span: uint64(sc.Span)}
+}
 
 func TestSpanHeaderRoundTrip(t *testing.T) {
 	sc := SpanContext{Trace: 0xDEADBEEF, Span: 42}
 	body := []byte{9, 1, 2, 3} // a plausible codec list payload
-	wireForm := append(AppendSpanHeader(nil, sc), body...)
-	got, rest := SplitSpanHeader(wireForm)
-	if got != sc {
-		t.Fatalf("decoded %+v, want %+v", got, sc)
+	wireForm := append(spanEnvelope(sc).Append(nil), body...)
+	got, rest, err := wire.ParseEnvelope(wireForm)
+	if err != nil || got != spanEnvelope(sc) {
+		t.Fatalf("decoded (%+v, %v), want %+v", got, err, sc)
 	}
 	if string(rest) != string(body) {
 		t.Fatalf("rest = %v, want %v", rest, body)
@@ -21,27 +29,26 @@ func TestSpanHeaderRoundTrip(t *testing.T) {
 }
 
 func TestSpanHeaderHeaderless(t *testing.T) {
-	// A pre-trace request payload (starts with a codec tag, 1..13) must
-	// pass through untouched — wire backward compatibility.
+	// Bytes that open with a codec tag (1..13) hold no trace field.
 	body := []byte{9, 3, 4, 104, 105}
-	sc, rest := SplitSpanHeader(body)
-	if sc.Trace != 0 || sc.Span != 0 {
-		t.Fatalf("headerless payload produced span context %+v", sc)
+	e, rest, err := wire.ParseEnvelope(body)
+	if err != nil || e.Trace != 0 || e.Span != 0 {
+		t.Fatalf("headerless bytes produced (%+v, %v)", e, err)
 	}
 	if &rest[0] != &body[0] || len(rest) != len(body) {
-		t.Fatal("headerless payload must pass through unmodified")
+		t.Fatal("headerless bytes must pass through unmodified")
 	}
 	// Zero span context appends nothing.
-	if out := AppendSpanHeader(nil, SpanContext{}); len(out) != 0 {
-		t.Fatalf("zero header appended %d bytes", len(out))
+	if out := spanEnvelope(SpanContext{}).Append(nil); len(out) != 0 {
+		t.Fatalf("zero span context appended %d bytes", len(out))
 	}
-	// Empty and truncated-header payloads pass through rather than panic.
-	if _, rest := SplitSpanHeader(nil); rest != nil {
-		t.Fatal("nil payload must pass through")
+	// Empty bytes pass through; a truncated field is rejected whole.
+	if _, rest, err := wire.ParseEnvelope(nil); rest != nil || err != nil {
+		t.Fatal("nil bytes must pass through")
 	}
-	trunc := []byte{headerMagic, 0x80}
-	if sc, rest := SplitSpanHeader(trunc); sc.Trace != 0 || len(rest) != len(trunc) {
-		t.Fatal("truncated header must pass through with zero context")
+	trunc := []byte{0xF5, 0x80}
+	if e, rest, err := wire.ParseEnvelope(trunc); err == nil || e.Trace != 0 || len(rest) != len(trunc) {
+		t.Fatal("truncated trace field must be rejected with nothing consumed")
 	}
 }
 

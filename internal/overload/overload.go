@@ -18,8 +18,8 @@
 //     and answers "how long before a second attempt is worth sending"
 //     (the p95), for the stub's hedged reads.
 //
-// Wire artifacts (the priority header 0xF7, FlagPushback, the pushback
-// payload) live in internal/wire so the kernel and rpc can read them
+// Wire artifacts (the envelope's priority class, FlagPushback, the
+// pushback payload) live in internal/wire so the kernel and rpc can read them
 // without importing policy.
 package overload
 

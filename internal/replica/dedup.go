@@ -19,11 +19,31 @@ import (
 // dedup state without any reply shipping, and a retransmission landing
 // on the new primary after a crash is recognized, not re-applied.
 
+// record is the WAL/broadcast form of one write, this package's storage
+// format: the request as the writer encoded it, behind the session field
+// naming the identity the primary deduplicated it under (nothing for an
+// unstamped write).
+func record(sid, cseq uint64, request []byte) []byte {
+	if sid == 0 {
+		return request
+	}
+	rec := make([]byte, 0, 1+2*wire.MaxVarintLen+len(request))
+	return append(wire.AppendSessionHeader(rec, sid, cseq), request...)
+}
+
+// splitRecord undoes record. It reads a whole envelope, not the session
+// field alone: a record logged when headers still rode the payload opens
+// with every one its writer's ctx implied, and must replay. A codec
+// request opens with a tag in 1..13, never with a field magic.
+func splitRecord(rec []byte) (sid, cseq uint64, request []byte) {
+	e, request, _ := wire.ParseEnvelope(rec)
+	return e.Session, e.Seq, request
+}
+
 // snapMagic prefixes a combined [dedup table][service state] snapshot
-// blob. It sits in wire's reserved optional-header range (≥ 0xF0, above
-// every codec tag), so a legacy plain service snapshot — whose first
-// byte is a codec tag or a state-map marshal — can never collide with
-// it; splitSnapshot falls back to treating such blobs as bare service
+// blob. It sits above every codec tag and every envelope field magic, so
+// a legacy plain service snapshot — whose first byte is a codec tag or a
+// state-map marshal — can never collide with it; splitSnapshot falls back to treating such blobs as bare service
 // state, which keeps old WAL snapshots and mixed-version groups
 // readable.
 const snapMagic = 0xF9

@@ -105,14 +105,13 @@ func (p *Proxy) syncOnce() error {
 	p.mu.Unlock()
 	applied := p.appliedSeq.Load()
 
-	// Sync probes are repair traffic: shedding them under load would turn
-	// congestion into spurious elections. The priority header exempts them.
-	req := wire.AppendPriorityHeader(nil, wire.PriorityHigh)
-	req = wire.AppendObjAddr(req, member.Self())
+	req := wire.AppendObjAddr(nil, member.Self())
 	req = wire.AppendUvarint(req, stateEpoch)
 	req = wire.AppendUvarint(req, applied)
 
-	ctx, cancel := context.WithTimeout(context.Background(), p.syncTimeout())
+	// Sync probes are repair traffic: shedding them under load would turn
+	// congestion into spurious elections. High priority exempts them.
+	ctx, cancel := context.WithTimeout(core.WithPriority(context.Background(), wire.PriorityHigh), p.syncTimeout())
 	defer cancel()
 	reply, err := p.rt.GuardedCall(ctx, ctrl, kindSync, req)
 	if err != nil {

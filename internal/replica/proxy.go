@@ -77,7 +77,8 @@ type Proxy struct {
 // leading capability token was verified by the primary before broadcast,
 // so it is ignored here.
 func (p *Proxy) apply(seq uint64, payload []byte) {
-	_, method, args, err := core.DecodeRequest(p.rt.Decoder(), payload)
+	sid, cseq, request := splitRecord(payload)
+	_, method, args, err := core.DecodeRequest(p.rt.Decoder(), request)
 	if err != nil {
 		// A malformed broadcast would desynchronize this replica; there is
 		// no caller to report to, so count it and keep the copy read-only
@@ -89,7 +90,7 @@ func (p *Proxy) apply(seq uint64, payload []byte) {
 	// deterministically into the dedup table, so a promoted successor can
 	// answer the writer's retransmission from cache.
 	results, ierr := p.local.Invoke(context.Background(), method, args)
-	if sid, cseq, ok := wire.PeekSession(payload); ok {
+	if sid != 0 {
 		commitApplied(p.rt, p.tab, sid, cseq, method, results, ierr)
 	}
 	p.applied.Add(1)
@@ -145,7 +146,7 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) ([]any, 
 const maxWriteAttempts = 50
 
 // writeToPrimary funnels one write through the primary's ordered path.
-// The request payload carries the span and deadline budget from ctx so
+// The request's envelope carries the span and deadline budget from ctx so
 // the primary's apply and broadcast hops land in the same trace and
 // abandoned writes cancel server-side. The call goes through the
 // runtime's shared circuit breaker, like every other proxy kind's.
@@ -171,7 +172,7 @@ func (p *Proxy) writeToPrimary(ctx context.Context, method string, args []any) (
 	if err != nil {
 		return nil, core.Errorf(core.CodeInternal, method, "%s", err)
 	}
-	payload, err := core.EncodeRequestCtx(ctx, p.ref.Cap, method, lowered)
+	payload, err := core.EncodeRequest(p.ref.Cap, method, lowered)
 	if err != nil {
 		return nil, core.Errorf(core.CodeInternal, method, "%s", err)
 	}

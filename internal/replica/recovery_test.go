@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -368,5 +369,102 @@ func TestExportReassumesFromWAL(t *testing.T) {
 	}
 	if le, ls := wal.Last(); le != 2 || ls != 8 {
 		t.Errorf("reassumed WAL position = (epoch %d, seq %d), want (2, 8)", le, ls)
+	}
+}
+
+// TestWALRecordGoldenBytes pins the replica's storage format across the
+// envelope's move out of the payload: a record is F8 sid seq ‖ request,
+// a log holding such records — or the longer prefix a stamped request
+// payload opened with when it carried its deadline and span too — replays
+// into the state and the dedup table, and a stamped write still logs
+// exactly those bytes.
+func TestWALRecordGoldenBytes(t *testing.T) {
+	store := persist.NewMemStore(nil)
+	request := func(key string, v int64) []byte {
+		b, err := core.EncodeRequest(0, "set", []any{key, v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	old, err := persist.OpenWAL(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, rec := range [][]byte{
+		append([]byte{0xF8, 0x05, 0x02}, request("k", 7)...),
+		append([]byte{0xF8, 0x06, 0x01, 0xF6, 0xE8, 0x07, 0xF5, 0x01, 0x02}, request("j", 9)...),
+		request("plain", 1),
+	} {
+		if err := old.Append(1, uint64(seq+1), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	net := netsim.New()
+	defer net.Close()
+	factory := NewFactory(readMethods, func() StateMachine { return newReg() },
+		WithWALStore(func(wire.Addr) persist.LogStore { return store }))
+	mk := func(id wire.NodeID) *core.Runtime {
+		ep, err := net.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := kernel.NewNode(ep)
+		t.Cleanup(func() { node.Close() })
+		ktx, err := node.NewContext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := core.NewRuntime(ktx)
+		rt.RegisterProxyType("Registers", factory)
+		return rt
+	}
+	server, client := mk(1), mk(2)
+	svc := newReg()
+	ref, err := server.Export(svc, "Registers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]int64{"k": 7, "j": 9, "plain": 1} {
+		if got := svc.get(key); got != want {
+			t.Errorf("replayed %s = %d, want %d", key, got, want)
+		}
+	}
+	p, err := client.Import(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (5, 2) and (6, 1) came back as applied identities: presenting them
+	// again is a replay, answered from the table, and changes nothing.
+	ctx := context.Background()
+	for _, id := range []struct {
+		sid, seq uint64
+		key      string
+		want     int64
+	}{{5, 2, "k", 7}, {6, 1, "j", 9}} {
+		if _, err := p.Invoke(core.ContextWithSession(ctx, id.sid, id.seq), "set", id.key, int64(100)); err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.get(id.key); got != id.want {
+			t.Errorf("identity (%d, %d) re-applied: %s = %d, want %d", id.sid, id.seq, id.key, got, id.want)
+		}
+	}
+	// A new stamped write is logged as F8 sid seq ‖ request.
+	if _, err := p.Invoke(core.ContextWithSession(ctx, 5, 3), "set", "m", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := persist.OpenWAL(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := wal.Records()
+	want, err := core.EncodeRequest(ref.Cap, "set", []any{"m", int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append([]byte{0xF8, 0x05, 0x03}, want...)
+	if got := recs[len(recs)-1].Payload; !bytes.Equal(got, want) {
+		t.Errorf("logged record = %x, want %x", got, want)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/group"
-	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/rpc"
 	"repro/internal/session"
@@ -231,12 +230,13 @@ func (f *Factory) Export(rt *core.Runtime, svc core.Service, ref codec.Ref) (cor
 			}
 		}
 		for _, r := range wal.Records() {
-			_, method, args, err := core.DecodeRequest(rt.Decoder(), r.Payload)
+			sid, cseq, request := splitRecord(r.Payload)
+			_, method, args, err := core.DecodeRequest(rt.Decoder(), request)
 			if err != nil {
 				continue
 			}
 			results, ierr := sm.Invoke(context.Background(), method, args)
-			if sid, cseq, ok := wire.PeekSession(r.Payload); ok {
+			if sid != 0 {
 				commitApplied(rt, tab, sid, cseq, method, results, ierr)
 			}
 		}
@@ -402,20 +402,19 @@ func (p *primary) handle(req *rpc.Request) (wire.Kind, []byte, []byte) {
 }
 
 func (p *primary) handleWrite(req *rpc.Request) (wire.Kind, []byte, []byte) {
-	sc, budget, cap, method, args, err := core.DecodeRequestFull(p.rt.Decoder(), req.Frame.Payload)
+	cap, method, args, err := core.DecodeRequest(p.rt.Decoder(), req.Frame.Payload)
 	if err != nil {
 		return 0, nil, core.EncodeInvokeError("", core.Errorf(core.CodeInternal, "", "%s", err))
 	}
 	if p.cap != 0 && cap != p.cap {
 		return 0, nil, core.EncodeInvokeError(method, core.Errorf(core.CodeDenied, method, "capability required"))
 	}
-	ctx, cancel := core.ApplyBudget(context.Background(), budget)
+	ctx, cancel := core.ServeContext(context.Background(), &req.Frame.Envelope)
 	defer cancel()
 	finish := func(error) {}
-	if sc.Trace != 0 {
+	if req.Frame.Envelope.Trace != 0 {
 		// The broadcast to members derives from this ctx, so each member's
 		// delivery round-trip shows up as a child rpc span.
-		ctx = obs.ContextWithSpan(ctx, sc)
 		ctx, finish = p.rt.Tracer().StartSpan(ctx, "replica.apply:"+method, p.rt.Where())
 	}
 	results, errPayload := p.applyWrite(ctx, req.From, method, args, req.Frame.Payload)
@@ -438,11 +437,12 @@ func (p *primary) handleWrite(req *rpc.Request) (wire.Kind, []byte, []byte) {
 // applyWrite runs one write at the primary: dedup-check, apply to the
 // authoritative copy, append to the write-ahead log (durability before
 // acknowledgement), push to every replica, and only then return.
-// rawPayload is the already-encoded request — session header included —
-// logged and forwarded verbatim, so members and WAL replay see the same
-// exactly-once identity the primary deduped on.
-func (p *primary) applyWrite(ctx context.Context, from wire.Addr, method string, args []any, rawPayload []byte) ([]any, []byte) {
-	sid, cseq, stamped := wire.PeekSession(rawPayload)
+// request is the already-encoded request; it is logged and forwarded
+// behind the exactly-once identity ctx carries (record), so members and
+// WAL replay see the same identity the primary deduped on.
+func (p *primary) applyWrite(ctx context.Context, from wire.Addr, method string, args []any, request []byte) ([]any, []byte) {
+	sid, cseq := core.SessionFromContext(ctx)
+	stamped := sid != 0
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.deposed {
@@ -469,7 +469,6 @@ func (p *primary) applyWrite(ctx context.Context, from wire.Addr, method string,
 		case session.Expired:
 			return nil, core.EncodeInvokeError(method, core.Errorf(core.CodeSessionExpired, method, "session expired: retry outlived the dedup window; outcome unknown"))
 		}
-		ctx = core.ContextWithSession(ctx, sid, cseq)
 	}
 	results, err := p.svc.Invoke(core.WithCaller(ctx, from), method, args)
 	if err != nil {
@@ -497,6 +496,7 @@ func (p *primary) applyWrite(ctx context.Context, from wire.Addr, method string,
 		}
 	}
 	epoch, seq := p.seq.Reserve()
+	rawPayload := record(sid, cseq, request)
 	if err := p.wal.Append(epoch, seq, rawPayload); err != nil {
 		// Unlogged writes must not be acknowledged: a crash would lose them.
 		if stamped {
@@ -559,7 +559,7 @@ const (
 // every cross-epoch rejoin, where the member's tail may have diverged at
 // the old epoch's end — gets a full snapshot.
 func (p *primary) handleSync(req *rpc.Request) (wire.Kind, []byte, []byte) {
-	_, payload := wire.SplitPriorityHeader(req.Frame.Payload)
+	payload := req.Frame.Payload
 	member, n, err := wire.DecodeObjAddr(payload)
 	if err != nil {
 		return 0, nil, core.EncodeInvokeError("sync", err)
@@ -748,11 +748,6 @@ func invokeOnPrimary(ctx context.Context, p *primary, method string, args []any)
 	raw, err := core.EncodeRequest(p.cap, method, lowered)
 	if err != nil {
 		return nil, core.Errorf(core.CodeInternal, method, "%s", err)
-	}
-	if sid, seq := core.SessionFromContext(ctx); sid != 0 {
-		// The logged/broadcast payload must carry the identity the caller
-		// stamped, so dedup holds across WAL replay and member delivery.
-		raw = append(wire.AppendSessionHeader(nil, sid, seq), raw...)
 	}
 	results, errPayload := p.applyWrite(ctx, from, method, args, raw)
 	if errPayload != nil {

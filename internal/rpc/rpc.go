@@ -6,9 +6,9 @@
 // session.Table and never runs it twice (at-most-once execution
 // semantics in the style of Birrell & Nelson).
 //
-// The layer is payload-agnostic: it moves opaque bytes. Invocation
-// marshalling lives above it (internal/core), and service-private proxy
-// protocols can ride the same Client/Server machinery with custom kinds.
+// The layer is payload-agnostic: it moves opaque bytes (the envelope is a
+// frame field beside them). Invocation marshalling lives above it, and
+// service-private proxy protocols ride the same machinery with custom kinds.
 package rpc
 
 import (
@@ -289,6 +289,12 @@ func (c *Client) Call(ctx context.Context, dst wire.ObjAddr, kind wire.Kind, pay
 // CallFrame is Call returning the whole response frame (needed when the
 // response kind itself is meaningful, as in private proxy protocols).
 func (c *Client) CallFrame(ctx context.Context, dst wire.ObjAddr, kind wire.Kind, payload []byte) (*wire.Frame, error) {
+	return c.CallEnvelope(ctx, dst, kind, wire.Envelope{}, payload)
+}
+
+// CallEnvelope is CallFrame with an envelope on the request: the same on
+// every transmission, but for a budget, which a re-send refreshes from ctx.
+func (c *Client) CallEnvelope(ctx context.Context, dst wire.ObjAddr, kind wire.Kind, env wire.Envelope, payload []byte) (*wire.Frame, error) {
 	c.calls.Inc()
 	if c.budget != nil {
 		c.budget.Deposit(dst.Addr.Node)
@@ -300,11 +306,8 @@ func (c *Client) CallFrame(ctx context.Context, dst wire.ObjAddr, kind wire.Kind
 	defer c.ktx.CancelPending(id)
 
 	// When the caller's ctx carries a span, every transmission attempt is
-	// recorded as its own span under it — a retransmission storm becomes
-	// visible as a fan of sibling attempts in the trace tree. The rpc
-	// layer stays payload-agnostic: the trace header (if any) is already
-	// inside payload, put there by the layer above. Untraced calls keep a
-	// nil recorder, so the hot path allocates nothing for tracing.
+	// recorded as its own span under it — a retransmission storm shows as
+	// a fan of sibling attempts. Untraced calls keep a nil recorder.
 	attempts := 1
 	var rec *attemptRecorder
 	if sc, traced := obs.SpanFromContext(ctx); traced {
@@ -320,6 +323,7 @@ func (c *Client) CallFrame(ctx context.Context, dst wire.ObjAddr, kind wire.Kind
 	req.ReqID = id
 	req.Dst = dst.Addr
 	req.Object = dst.Object
+	req.Envelope = env
 	req.Payload = payload
 	if err := c.ktx.Send(req); err != nil {
 		c.failures.Inc()
@@ -387,14 +391,10 @@ func (c *Client) CallFrame(ctx context.Context, dst wire.ObjAddr, kind wire.Kind
 			attempts++
 			c.retransmits.Inc()
 			req.Flags |= wire.FlagRetransmit
-			if wire.HasDeadlineHeader(payload) {
-				// The payload opens with a deadline-budget header encoded
-				// when the call began; the budget has been shrinking while
-				// we waited. Re-encode what actually remains so the server
-				// does not trust a stale, over-generous figure.
-				if dl, ok := ctx.Deadline(); ok {
-					req.Payload = wire.RewriteDeadlineHeader(payload, time.Until(dl))
-				}
+			if dl, ok := ctx.Deadline(); ok && env.Budget > 0 {
+				// What remains now, not the stale figure from when the call
+				// began; never zero, which would read as "no deadline".
+				req.Envelope.Budget = max(time.Until(dl), time.Nanosecond)
 			}
 			if err := c.ktx.Send(req); err != nil {
 				c.failures.Inc()

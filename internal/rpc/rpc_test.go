@@ -385,6 +385,7 @@ type caller struct {
 	t    *testing.T
 	ktx  *kernel.Context
 	dst  wire.ObjAddr
+	env  wire.Envelope // rides every request send transmits
 	resp chan *wire.Frame
 }
 
@@ -403,7 +404,7 @@ func newCaller(t *testing.T, net *netsim.Network, id wire.NodeID, dst wire.ObjAd
 // send transmits request id with flags and returns the response to it.
 func (c *caller) send(id uint64, flags uint16, payload []byte) *wire.Frame {
 	c.t.Helper()
-	if err := c.ktx.Send(&wire.Frame{Kind: wire.KindRequest, Flags: flags, ReqID: id, Dst: c.dst.Addr, Object: c.dst.Object, Payload: payload}); err != nil {
+	if err := c.ktx.Send(&wire.Frame{Kind: wire.KindRequest, Flags: flags, ReqID: id, Dst: c.dst.Addr, Object: c.dst.Object, Envelope: c.env, Payload: payload}); err != nil {
 		c.t.Fatal(err)
 	}
 	for {
@@ -552,7 +553,8 @@ func TestStampedRequestLooksUpOnce(t *testing.T) {
 	c := newCaller(t, net, 2, wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)})
 	tab := srvCtx.Node().SessionTable()
 
-	stamped := wire.AppendSessionHeader(nil, 0xABCD, 1)
+	stamped := []byte("stamped")
+	c.env = wire.Envelope{Session: 0xABCD, Seq: 1}
 	id := c.call(stamped)
 	if st := tab.Stats(); st.Sessions != 1 || st.Replies != 1 {
 		t.Fatalf("stamped request left %d sessions, %d replies; want 1 and 1", st.Sessions, st.Replies)
@@ -561,13 +563,14 @@ func TestStampedRequestLooksUpOnce(t *testing.T) {
 		t.Errorf("(sid, seq) verdict = %v, want replay", v)
 	}
 	// Its retransmission is answered by the kernel, below the server.
-	if f := c.send(id, wire.FlagRetransmit, stamped); f.Kind != wire.KindReply || !bytes.Equal(f.Payload, stamped) {
-		t.Errorf("retransmission answered %v %q", f.Kind, f.Payload)
+	if f := c.send(id, wire.FlagRetransmit, stamped); f.Kind != wire.KindReply || !bytes.Equal(f.Payload, stamped) || f.Envelope != (wire.Envelope{}) {
+		t.Errorf("retransmission answered %v %q under envelope %+v; kernel responses carry none", f.Kind, f.Payload, f.Envelope)
 	}
 	if st, ts := srv.Stats(), tab.Stats(); st.Executed != 1 || st.DupCached != 0 || ts.Hits != 1 {
 		t.Errorf("server stats = %+v, table hits = %d; want 1 execution and the replay counted by the table alone", st, ts.Hits)
 	}
 	// An unstamped request is the server's to look up: one more session.
+	c.env = wire.Envelope{}
 	c.call(nil)
 	if st := tab.Stats(); st.Sessions != 2 || st.Replies != 2 {
 		t.Errorf("unstamped request left %d sessions, %d replies; want 2 and 2", st.Sessions, st.Replies)
@@ -664,8 +667,8 @@ func TestClientTableEviction(t *testing.T) {
 
 // TestClientFlagsEveryResend pins the client half of the
 // first-transmission rule: the first send of a request is unflagged and
-// every re-send carries FlagRetransmit, a re-send whose deadline header
-// was rewritten included.
+// every re-send carries FlagRetransmit, a re-send whose envelope budget
+// was refreshed included.
 func TestClientFlagsEveryResend(t *testing.T) {
 	r := newRig(t, nil, WithRetryInterval(5*time.Millisecond), WithMaxAttempts(50))
 	type arrival struct {
@@ -675,9 +678,8 @@ func TestClientFlagsEveryResend(t *testing.T) {
 	var mu sync.Mutex
 	var seen []arrival
 	id := r.srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
-		budget, _ := wire.SplitDeadlineHeader(f.Payload)
 		mu.Lock()
-		seen = append(seen, arrival{f.Flags, budget})
+		seen = append(seen, arrival{f.Flags, f.Envelope.Budget})
 		n := len(seen)
 		mu.Unlock()
 		if n == 4 { // stay silent until the third re-send
@@ -687,8 +689,7 @@ func TestClientFlagsEveryResend(t *testing.T) {
 	const total = 2 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), total)
 	defer cancel()
-	payload := append(wire.AppendDeadlineHeader(nil, total), []byte("work")...)
-	if _, err := r.client.Call(ctx, wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, wire.KindRequest, payload); err != nil {
+	if _, err := r.client.CallEnvelope(ctx, wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, wire.KindRequest, wire.Envelope{Budget: total}, []byte("work")); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -701,7 +702,39 @@ func TestClientFlagsEveryResend(t *testing.T) {
 			t.Errorf("transmission %d: FlagRetransmit = %v, want %v", i, flagged, i > 0)
 		}
 		if i > 0 && (a.budget <= 0 || a.budget >= seen[0].budget) {
-			t.Errorf("transmission %d carries budget %v, want it rewritten below the first's %v", i, a.budget, seen[0].budget)
+			t.Errorf("transmission %d carries budget %v, want it refreshed below the first's %v", i, a.budget, seen[0].budget)
+		}
+	}
+}
+
+// TestPrivatePayloadRetransmittedVerbatim: a service-private request is
+// opaque to the client however it opens. One that opens with the deadline
+// field's magic (0xF6 …) goes out byte-identical on every re-send, ctx
+// deadline or not; only an envelope budget is ever refreshed.
+func TestPrivatePayloadRetransmittedVerbatim(t *testing.T) {
+	r := newRig(t, nil, WithRetryInterval(5*time.Millisecond), WithMaxAttempts(50))
+	private := []byte{0xF6, 0x80, 0x94, 0xEB, 0xDC, 0x03, 'p', 'a', 'g', 'e'} // reads as a 1 s deadline field
+	var mu sync.Mutex
+	var seen []*wire.Frame
+	id := r.srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
+		mu.Lock()
+		seen = append(seen, f)
+		n := len(seen)
+		mu.Unlock()
+		if n == 3 { // stay silent until the second re-send
+			_ = ktx.Respond(f, wire.KindReply, nil)
+		}
+	}))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := r.client.Call(ctx, wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, wire.KindCustom, private); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, f := range seen {
+		if !bytes.Equal(f.Payload, private) || f.Envelope != (wire.Envelope{}) {
+			t.Errorf("transmission %d: payload %x, envelope %+v; want the private bytes %x and no envelope", i, f.Payload, f.Envelope, private)
 		}
 	}
 }
@@ -799,10 +832,10 @@ func TestPartitionHealCompletesCall(t *testing.T) {
 }
 
 func TestRetransmitReencodesDeadlineBudget(t *testing.T) {
-	// Regression: a payload opening with a deadline-budget header must not
+	// Regression: a request that left with a deadline budget must not
 	// present its original budget after riding out retransmissions — the
-	// client re-encodes the remaining budget before each retransmit, so
-	// the server sees how much time is actually left.
+	// client stores the remaining budget in the envelope before each
+	// retransmit, so the server sees how much time is actually left.
 	r := newRig(t, []netsim.NetworkOption{netsim.WithSeed(1)},
 		WithRetryInterval(50*time.Millisecond), WithMaxAttempts(40))
 
@@ -810,10 +843,9 @@ func TestRetransmitReencodesDeadlineBudget(t *testing.T) {
 	var budgets []time.Duration
 	var body []byte
 	dst, _ := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
-		b, rest := wire.SplitDeadlineHeader(req.Frame.Payload)
 		mu.Lock()
-		budgets = append(budgets, b)
-		body = append([]byte(nil), rest...)
+		budgets = append(budgets, req.Frame.Envelope.Budget)
+		body = append([]byte(nil), req.Frame.Payload...)
 		mu.Unlock()
 		return wire.KindReply, nil, nil
 	}))
@@ -828,8 +860,7 @@ func TestRetransmitReencodesDeadlineBudget(t *testing.T) {
 	const total = 2 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), total)
 	defer cancel()
-	payload := append(wire.AppendDeadlineHeader(nil, total), []byte("work")...)
-	if _, err := r.client.Call(ctx, dst, wire.KindRequest, payload); err != nil {
+	if _, err := r.client.CallEnvelope(ctx, dst, wire.KindRequest, wire.Envelope{Budget: total}, []byte("work")); err != nil {
 		t.Fatalf("call across partition+heal: %v", err)
 	}
 
@@ -840,7 +871,7 @@ func TestRetransmitReencodesDeadlineBudget(t *testing.T) {
 	}
 	got := budgets[0]
 	if got == 0 {
-		t.Fatal("retransmitted request lost its deadline header")
+		t.Fatal("retransmitted request lost its deadline budget")
 	}
 	if got > total-cut+100*time.Millisecond {
 		t.Errorf("server saw budget %v after a %v cut — stale original budget (%v) survived retransmission", got, cut, total)
@@ -849,6 +880,6 @@ func TestRetransmitReencodesDeadlineBudget(t *testing.T) {
 		t.Errorf("server saw budget %v, want within (0, %v)", got, total)
 	}
 	if string(body) != "work" {
-		t.Errorf("body after header rewrite = %q, want %q", body, "work")
+		t.Errorf("body after budget refresh = %q, want %q", body, "work")
 	}
 }

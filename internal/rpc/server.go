@@ -9,7 +9,7 @@ import (
 )
 
 // Request is what a server-side Handler receives: the caller's identity
-// and the opaque request payload.
+// and the request frame (its envelope and the opaque request payload).
 type Request struct {
 	From  wire.Addr
 	ReqID uint64

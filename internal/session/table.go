@@ -1,7 +1,7 @@
 // Package session implements exactly-once invocation: clients mint a
-// session id plus a per-session sequence number that rides the 0xF8
-// payload header (wire.SessionMagic), and servers keep a bounded dedup
-// table mapping (session, seq) to the cached encoded reply. A
+// session id plus a per-session sequence number that rides the request
+// frame's envelope (wire.Envelope.Session, Seq), and servers keep a
+// bounded dedup table mapping (session, seq) to the cached encoded reply. A
 // retransmission — or a failover replay of the same logical call against
 // an alternate binding — presents the same identity and is answered from
 // the cache instead of re-executed, which is what makes non-idempotent

@@ -190,9 +190,11 @@ func (p *Proxy) table(ctx context.Context) (*Ring, map[string]codec.Ref, error) 
 // refreshTable fetches the current table from the router's control
 // object. The fetch travels high-priority: re-routing around a shed
 // (or misrouted) key needs the table, so shedding table fetches behind
-// the load that caused them would wedge recovery.
+// the load that caused them would wedge recovery. It is a call beside
+// the invocation, so it borrows ctx's deadline and span, not its identity.
 func (p *Proxy) refreshTable(ctx context.Context) error {
-	f, err := p.rt.GuardedCall(ctx, p.ctrl, kindTable, wire.AppendPriorityHeader(nil, wire.PriorityHigh))
+	ctx = core.WithPriority(core.ContextWithSession(ctx, 0, 0), wire.PriorityHigh)
+	f, err := p.rt.GuardedCall(ctx, p.ctrl, kindTable, nil)
 	if err != nil {
 		return core.RemoteToInvokeError("shard.table", err)
 	}

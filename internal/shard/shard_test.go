@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/netsim"
+	"repro/internal/session"
 	"repro/internal/wire"
 )
 
@@ -474,5 +475,29 @@ func TestShardFactoryOptionsAndProxyLifecycle(t *testing.T) {
 	ke := &KeyError{Key: "k", Err: core.NoSuchMethod("zap")}
 	if msg := ke.Error(); !strings.Contains(msg, `"k"`) || !strings.Contains(msg, "zap") {
 		t.Fatalf("KeyError.Error() = %q", msg)
+	}
+}
+
+// TestShardTableFetchIsNotTheInvocation: the routing-table fetch a
+// stamped invocation triggers travels under the invocation's ctx but not
+// under its exactly-once identity — the router's node must never cache
+// the table as the reply to (session, seq), or a later presentation of
+// the identity to that node would be answered with it.
+func TestShardTableFetchIsNotTheInvocation(t *testing.T) {
+	w := newShardWorld(t, 2, 1)
+	p := w.proxy(t, 0)
+	const sid, seq = 0x5E55, 1
+	ctx := core.ContextWithSession(context.Background(), sid, seq)
+	if _, err := p.Invoke(ctx, "put", "k", int64(1)); err != nil { // first use fetches the table
+		t.Fatal(err)
+	}
+	if p.Epoch() == 0 {
+		t.Fatal("proxy never fetched a table")
+	}
+	if v, _ := w.routerRT.Kernel().Node().SessionTable().Peek(sid, seq); v != session.Fresh {
+		t.Errorf("router node holds verdict %v for the invocation's identity, want fresh", v)
+	}
+	if got, _ := core.SessionFromContext(core.ContextWithSession(ctx, 0, 0)); got != 0 {
+		t.Errorf("ContextWithSession(ctx, 0, 0) kept session %#x", got)
 	}
 }

@@ -45,8 +45,8 @@ func TestRewriteDeadlineHeader(t *testing.T) {
 		t.Errorf("expired rewrite = (%v, %q), want clamp to 1ns", budget, rest)
 	}
 
-	// A truncated header (magic byte, no varint) is left alone.
-	junk := []byte{DeadlineMagic}
+	// A truncated field (magic byte, no varint) is left alone.
+	junk := []byte{deadlineMagic}
 	if got := RewriteDeadlineHeader(junk, time.Second); !bytes.Equal(got, junk) {
 		t.Errorf("malformed rewrite = %v", got)
 	}

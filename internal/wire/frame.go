@@ -125,26 +125,34 @@ const (
 	// sent to destinations that have advertised it, so legacy peers keep
 	// today's frame-at-a-time exchange.
 	FlagTrains
+	// FlagEnvelope marks an encoded frame whose payload bytes open with
+	// its Envelope. Only Encode sets it and Decode clears it again: a
+	// Frame in memory never carries it.
+	FlagEnvelope
 )
 
 // Frame is the unit of transmission. Payload is opaque to every layer
-// except the final consumer addressed by (Dst, Object).
+// except the final consumer addressed by (Dst, Object): what a layer in
+// between acts on is a header field or the Envelope, and Decode reads
+// payload bytes only where FlagEnvelope says the sender put one there.
 type Frame struct {
-	Kind    Kind
-	Flags   uint16
-	ReqID   uint64 // request/reply correlation; unique per source context
-	Src     Addr
-	Dst     Addr
-	Object  ObjectID // destination object within Dst; KernelObject for kernel traffic
-	Payload []byte
+	Kind     Kind
+	Flags    uint16
+	ReqID    uint64 // request/reply correlation; unique per source context
+	Src      Addr
+	Dst      Addr
+	Object   ObjectID // destination object within Dst; KernelObject for kernel traffic
+	Envelope Envelope // control part of a request; zero on responses
+	Payload  []byte
 }
 
 // Frame wire layout (fixed header, big-endian):
 //
 //	magic(2) version(1) kind(1) flags(2) reqID(8)
 //	srcNode(4) srcCtx(4) dstNode(4) dstCtx(4) object(8)
-//	payloadLen(4) payload(…) crc32(4)
+//	payloadLen(4) [envelope(…)] payload(…) crc32(4)
 //
+// payloadLen counts the envelope, which is present under FlagEnvelope.
 // The CRC covers header and payload — except for KindTrain, where it
 // covers the header only: a train's payload is a sequence of fully-encoded
 // member frames that each carry their own CRC, so double-checksumming would
@@ -157,8 +165,8 @@ const (
 	trailerLen          = 4
 )
 
-// MaxPayload bounds a single frame's payload; larger application payloads
-// must be chunked by the layer that produces them.
+// MaxPayload bounds a single frame's payload (envelope included); larger
+// application payloads must be chunked by the layer that produces them.
 const MaxPayload = 16 << 20
 
 // Frame decode errors.
@@ -172,28 +180,39 @@ var (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodedLen reports the total encoded size of the frame.
-func (f *Frame) EncodedLen() int { return headerLen + len(f.Payload) + trailerLen }
+func (f *Frame) EncodedLen() int {
+	return headerLen + f.Envelope.encodedLen(f.Payload) + len(f.Payload) + trailerLen
+}
 
 // Encode appends the encoded frame to dst and returns the extended slice.
 func (f *Frame) Encode(dst []byte) ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return dst, ErrTooLarge
+	flags, enveloped := f.Flags&^FlagEnvelope, !f.Envelope.isZero()
+	if enveloped {
+		flags |= FlagEnvelope
 	}
 	start := len(dst)
 	var hdr [headerLen]byte
 	binary.BigEndian.PutUint16(hdr[0:], frameMagic)
 	hdr[2] = frameVersion
 	hdr[3] = byte(f.Kind)
-	binary.BigEndian.PutUint16(hdr[4:], f.Flags)
+	binary.BigEndian.PutUint16(hdr[4:], flags)
 	binary.BigEndian.PutUint64(hdr[6:], f.ReqID)
 	binary.BigEndian.PutUint32(hdr[14:], uint32(f.Src.Node))
 	binary.BigEndian.PutUint32(hdr[18:], uint32(f.Src.Context))
 	binary.BigEndian.PutUint32(hdr[22:], uint32(f.Dst.Node))
 	binary.BigEndian.PutUint32(hdr[26:], uint32(f.Dst.Context))
 	binary.BigEndian.PutUint64(hdr[30:], uint64(f.Object))
-	binary.BigEndian.PutUint32(hdr[38:], uint32(len(f.Payload)))
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, f.Payload...)
+	if enveloped {
+		dst = f.Envelope.appendFramed(dst, f.Payload)
+	} else {
+		dst = append(dst, f.Payload...)
+	}
+	plen := len(dst) - start - headerLen
+	if plen > MaxPayload {
+		return dst[:start], ErrTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start+38:], uint32(plen))
 	crcEnd := len(dst)
 	if f.Kind == KindTrain {
 		crcEnd = start + headerLen
@@ -205,7 +224,10 @@ func (f *Frame) Encode(dst []byte) ([]byte, error) {
 }
 
 // Decode parses one frame from src, returning the frame and bytes consumed.
-// The returned frame's Payload aliases src.
+// The returned frame's Payload aliases src. It is the one place envelope
+// bytes become fields: a flagged frame whose payload does not open with
+// exactly what Encode writes for the envelope it parses to is rejected
+// like a bad checksum.
 func Decode(src []byte) (Frame, int, error) {
 	if len(src) < headerLen+trailerLen {
 		return Frame{}, 0, ErrShortBuffer
@@ -246,6 +268,14 @@ func Decode(src []byte) (Frame, int, error) {
 		},
 		Object:  ObjectID(binary.BigEndian.Uint64(src[30:])),
 		Payload: src[headerLen : headerLen+plen],
+	}
+	if f.Flags&FlagEnvelope != 0 {
+		e, body, err := ParseEnvelope(f.Payload)
+		if err != nil || e.isZero() || len(f.Payload)-len(body) != e.encodedLen(body) {
+			return Frame{}, 0, ErrBadEnvelope
+		}
+		f.Flags &^= FlagEnvelope
+		f.Envelope, f.Payload = e, body
 	}
 	return f, total, nil
 }

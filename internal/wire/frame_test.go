@@ -45,13 +45,14 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTripProperty(t *testing.T) {
-	roundTrip := func(kind uint8, flags uint16, reqID uint64, sn, sc, dn, dc uint32, obj uint64, payload []byte) bool {
+	roundTrip := func(kind uint8, flags uint16, reqID uint64, sn, sc, dn, dc uint32, obj uint64, env Envelope, payload []byte) bool {
 		f := Frame{
-			Kind:  Kind(kind),
-			Flags: flags,
-			ReqID: reqID,
-			Src:   Addr{Node: NodeID(sn), Context: ContextID(sc)},
-			Dst:   Addr{Node: NodeID(dn), Context: ContextID(dc)},
+			Envelope: env,
+			Kind:     Kind(kind),
+			Flags:    flags,
+			ReqID:    reqID,
+			Src:      Addr{Node: NodeID(sn), Context: ContextID(sc)},
+			Dst:      Addr{Node: NodeID(dn), Context: ContextID(dc)},
 
 			Object:  ObjectID(obj),
 			Payload: payload,
@@ -61,10 +62,12 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got, n, err := Decode(buf)
-		return err == nil && n == len(buf) &&
-			got.Kind == f.Kind && got.Flags == f.Flags && got.ReqID == f.ReqID &&
+		// FlagEnvelope exists only on the wire, and an envelope comes back
+		// without what its zero fields could not carry.
+		return err == nil && n == len(buf) && n == f.EncodedLen() &&
+			got.Kind == f.Kind && got.Flags == f.Flags&^FlagEnvelope && got.ReqID == f.ReqID &&
 			got.Src == f.Src && got.Dst == f.Dst && got.Object == f.Object &&
-			bytes.Equal(got.Payload, f.Payload)
+			got.Envelope == canon(env) && bytes.Equal(got.Payload, f.Payload)
 	}
 	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

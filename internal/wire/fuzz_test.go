@@ -17,7 +17,9 @@ import (
 //	go test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire
 //
 // Seed corpus: a valid encoding plus characteristic corruptions, both
-// as f.Add seeds below and as committed files under testdata/fuzz.
+// as f.Add seeds below and as committed files under testdata/fuzz. The
+// same contract covers the envelope: a flagged frame is accepted only if
+// re-encoding what it parsed to reproduces its bytes.
 
 func frameSeed(t testing.TB) []byte {
 	f := Frame{
@@ -48,6 +50,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(length)
 	f.Add([]byte{})
 	f.Add([]byte{0x50, 0x59, 0x01}) // magic + version, nothing else
+	// FlagEnvelope: a good envelope, the flag over bytes that are none,
+	// and a flagged member inside a train.
+	env := envelopedFrame([]byte("\xF8\x01 opens like a session field"))
+	enveloped, err := env.Encode(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enveloped)
+	f.Add(flagged(f, KindRequest, "\xF4junk"))
+	member, err := AppendTrainMember(nil, &env)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flagged(f, KindTrain, string(member)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := Decode(data)
@@ -60,7 +76,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if sf.Kind != fr.Kind || sf.ReqID != fr.ReqID || !bytes.Equal(sf.Payload, fr.Payload) {
+		if sf.Kind != fr.Kind || sf.ReqID != fr.ReqID || sf.Envelope != fr.Envelope || !bytes.Equal(sf.Payload, fr.Payload) {
 			t.Fatalf("ReadFrame decoded %v, Decode %v", &sf, &fr)
 		}
 		// Accepted input must be self-consistent: the decoder consumed a

@@ -6,118 +6,133 @@ import (
 	"time"
 )
 
-// Fuzz entry point for the optional payload-header parsers: priority
-// (0xF7), session (0xF8), and deadline (0xF6) — the headers every
-// request payload may open with, parsed below the codec by the kernel
-// and rpc layers (the 0xF5 trace header lives in internal/obs and has
-// its own target there). The contract under hostile input mirrors the
-// frame decoder's: never panic, never consume bytes for a malformed
-// header (the splitters hand the payload through untouched and the
-// codec layer reports it), and every accepted header must re-encode to
-// something that parses back to the same values. Run with e.g.
+// canon is e as it comes back from the wire: a field whose leading value
+// is zero writes nothing, so what rides behind it is lost.
+func canon(e Envelope) Envelope {
+	if e.Session == 0 {
+		e.Seq = 0
+	}
+	if e.Budget <= 0 {
+		e.Budget = 0
+	}
+	if e.Trace == 0 {
+		e.Span = 0
+	}
+	return e
+}
+
+// fieldwise reads data with the four per-field codecs in canonical order:
+// the reference ParseEnvelope is checked against.
+func fieldwise(data []byte) (e Envelope, rest []byte) {
+	e.Priority, rest = SplitPriorityHeader(data)
+	e.Session, e.Seq, rest = SplitSessionHeader(rest)
+	e.Budget, rest = SplitDeadlineHeader(rest)
+	e.Trace, e.Span, rest = splitPair(rest, traceMagic)
+	return e, rest
+}
+
+// Fuzz entry point for the envelope parser: ParseEnvelope and
+// Envelope.Append, the pair Decode and Frame.Encode are written with,
+// checked against the per-field codecs (priority 0xF7, session 0xF8,
+// deadline 0xF6, trace 0xF5). The contract under hostile input mirrors
+// the frame decoder's: never panic; read exactly what the field codecs
+// read, in canonical order; reject — whole, with nothing consumed — bytes
+// that stop inside a field or present one out of turn; and re-encode
+// every accepted envelope to something that parses back to the same
+// values. Run with e.g.
 //
 //	go test -fuzz=FuzzPayloadHeaders -fuzztime=30s ./internal/wire
 //
-// Seed corpus: a fully-stamped payload (priority → session → deadline →
-// trace, the canonical order), each header alone, truncated uvarints,
-// and a garbage 0xF4 prefix — as f.Add seeds below and as committed
-// files under testdata/fuzz/FuzzPayloadHeaders.
+// Seed corpus: all 16 subsets of the four fields, whole and cut one byte
+// short, bare and truncated magics, and a 0xF4 prefix — as f.Add seeds
+// below and as committed files under testdata/fuzz/FuzzPayloadHeaders.
 func FuzzPayloadHeaders(f *testing.F) {
-	full := AppendPriorityHeader(nil, PriorityHigh)
-	full = AppendSessionHeader(full, 5, 2)
-	full = AppendDeadlineHeader(full, time.Microsecond)
-	full = append(full, 0xF5, 0x01, 0x02) // trace header, opaque at this layer
-	full = append(full, "body"...)
-	f.Add(full)
-	f.Add(AppendSessionHeader([]byte(nil), 5, 2))
-	f.Add(AppendDeadlineHeader([]byte(nil), time.Millisecond))
-	f.Add([]byte{SessionMagic, 0x85})          // truncated session uvarint
-	f.Add([]byte{DeadlineMagic})               // deadline magic, no budget
-	f.Add([]byte{PriorityMagic})               // priority magic, no class
-	f.Add([]byte{0xF4, 'j', 'u', 'n', 'k'})    // unassigned header magic
-	f.Add(full[:len(full)-6])                  // truncated mid-chain
+	full := Envelope{Priority: PriorityHigh, Session: 5, Seq: 2, Budget: time.Microsecond, Trace: 1, Span: 2}
+	for subset := 0; subset < 16; subset++ {
+		var e Envelope
+		if subset&1 != 0 {
+			e.Priority = full.Priority
+		}
+		if subset&2 != 0 {
+			e.Session, e.Seq = full.Session, full.Seq
+		}
+		if subset&4 != 0 {
+			e.Budget = full.Budget
+		}
+		if subset&8 != 0 {
+			e.Trace, e.Span = full.Trace, full.Span
+		}
+		enc := e.Append(nil)
+		if len(enc) != e.encodedLen(nil) {
+			f.Fatalf("subset %d: encodedLen %d, Append wrote %d", subset, e.encodedLen(nil), len(enc))
+		}
+		got, body, err := ParseEnvelope(append(enc, "body"...))
+		if err != nil || got != e || string(body) != "body" {
+			f.Fatalf("subset %d: parse = (%+v, %q, %v), want %+v", subset, got, body, err, e)
+		}
+		f.Add(append(enc, "body"...))
+		if len(enc) > 0 {
+			// One byte short stops inside the last field.
+			cut := enc[:len(enc)-1]
+			if got, rest, err := ParseEnvelope(cut); err != ErrBadEnvelope || got != (Envelope{}) || !bytes.Equal(rest, cut) {
+				f.Fatalf("subset %d cut short: parse = (%+v, %x, %v), want rejection", subset, got, rest, err)
+			}
+			f.Add(cut)
+		}
+	}
+	f.Add([]byte{sessionMagic, 0x85})                       // truncated session uvarint
+	f.Add([]byte{deadlineMagic})                            // deadline magic, no budget
+	f.Add([]byte{priorityMagic})                            // priority magic, no class
+	f.Add([]byte{0xF4, 'j', 'u', 'n', 'k'})                 // end mark, then the body
+	f.Add([]byte{deadlineMagic, 0x01, priorityMagic, 0x01}) // out of order
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Each splitter must return a tail of its input: same bytes,
-		// never grown, never rewritten in place.
-		checkTail := func(name string, rest []byte) {
-			if len(rest) > len(data) || (len(rest) > 0 && !bytes.HasSuffix(data, rest)) {
-				t.Fatalf("%s returned a non-suffix rest (%d of %d bytes)", name, len(rest), len(data))
+		e, body, err := ParseEnvelope(data)
+		want, rest := fieldwise(data)
+		if err != nil {
+			// Rejected whole: the bytes the field codecs stop at open with
+			// a field magic none of them would take.
+			if err != ErrBadEnvelope || e != (Envelope{}) || !bytes.Equal(body, data) {
+				t.Fatalf("rejection consumed input: (%+v, %d of %d bytes, %v)", e, len(body), len(data), err)
 			}
-		}
-
-		prio, prest := SplitPriorityHeader(data)
-		checkTail("SplitPriorityHeader", prest)
-		if len(prest) != len(data) && prio != PriorityNormal {
-			// Consumed non-normal headers round-trip exactly: the priority
-			// header is a fixed two-byte form with no redundancy. (An
-			// explicit normal-class header is legal on the wire but
-			// re-encodes to nothing — normal is the headerless default.)
-			re := AppendPriorityHeader(nil, prio)
-			if !bytes.Equal(re, data[:2]) {
-				t.Fatalf("priority round trip changed bytes: %x != %x", re, data[:2])
-			}
-		}
-
-		sid, seq, srest := SplitSessionHeader(data)
-		checkTail("SplitSessionHeader", srest)
-		if len(srest) != len(data) {
-			// Uvarint fields admit non-minimal encodings, so compare the
-			// re-parse, not the bytes: re-encoding the parsed identity and
-			// re-parsing it must yield the identity back.
-			if sid == 0 {
-				// A parsed sid of zero cannot re-encode (zero means "no
-				// session"), but the splitter may still consume it.
-				return
-			}
-			s2, q2, r2 := SplitSessionHeader(append(AppendSessionHeader(nil, sid, seq), srest...))
-			if s2 != sid || q2 != seq || !bytes.Equal(r2, srest) {
-				t.Fatalf("session round trip: got (%d,%d), want (%d,%d)", s2, q2, sid, seq)
-			}
-		}
-
-		// PeekSession must agree with the splitters: what it reports is
-		// exactly what splitting priority-then-session finds.
-		if psid, pseq, ok := PeekSession(data); ok {
-			wsid, wseq, wrest := SplitSessionHeader(prest)
-			if wsid == 0 && len(wrest) == len(prest) {
-				t.Fatal("PeekSession ok but split found no session header")
-			}
-			if psid != wsid || pseq != wseq {
-				t.Fatalf("PeekSession (%d,%d) disagrees with split (%d,%d)", psid, pseq, wsid, wseq)
-			}
-		}
-
-		budget, drest := SplitDeadlineHeader(data)
-		checkTail("SplitDeadlineHeader", drest)
-		if len(drest) != len(data) && budget > 0 {
-			b2, r2 := SplitDeadlineHeader(append(AppendDeadlineHeader(nil, budget), drest...))
-			if b2 != budget || !bytes.Equal(r2, drest) {
-				t.Fatalf("deadline round trip: got %v, want %v", b2, budget)
-			}
-		}
-
-		// Rewriting the deadline must preserve everything in front of it
-		// (the session identity in particular) and install the new budget;
-		// payloads without a deadline header pass through untouched.
-		out := RewriteDeadlineHeader(data, time.Second)
-		if !HasDeadlineHeader(data) {
-			if !bytes.Equal(out, data) {
-				t.Fatal("rewrite modified a payload with no deadline header")
+			if len(rest) == 0 || rest[0] < traceMagic || rest[0] > sessionMagic {
+				t.Fatalf("rejected %x, but the field codecs stop cleanly at %x", data, rest)
 			}
 			return
 		}
-		osid, oseq, ook := PeekSession(data)
-		rsid, rseq, rok := PeekSession(out)
-		if rok != ook {
-			t.Fatal("rewrite changed session header presence")
+		if len(rest) > 0 && rest[0] == envelopeEnd {
+			rest = rest[1:]
 		}
-		if ook && (rsid != osid || rseq != oseq) {
-			t.Fatalf("rewrite changed session identity: (%d,%d) != (%d,%d)", rsid, rseq, osid, oseq)
+		if e != want || !bytes.Equal(body, rest) {
+			t.Fatalf("ParseEnvelope = (%+v, %x), field codecs = (%+v, %x)", e, body, want, rest)
 		}
-		if PeekPriority(out) != PeekPriority(data) {
-			t.Fatal("rewrite changed priority class")
+		if e.isZero() {
+			return // Encode writes no envelope for it, so nothing parses one back
+		}
+		// Uvarint fields admit non-minimal encodings, so compare the
+		// re-parse, not the bytes.
+		enc := e.appendFramed(nil, body)
+		if len(enc) != e.encodedLen(body)+len(body) {
+			t.Fatalf("encodedLen %d, wrote %d for %+v", e.encodedLen(body), len(enc)-len(body), e)
+		}
+		e2, body2, err := ParseEnvelope(enc)
+		if err != nil || e2 != canon(e) || !bytes.Equal(body2, body) {
+			t.Fatalf("round trip: (%+v, %x, %v), want (%+v, %x)", e2, body2, err, canon(e), body)
+		}
+		// The frozen rewrite composition installs the budget and keeps
+		// every other field; bytes with no deadline field pass untouched.
+		out := RewriteDeadlineHeader(data, time.Second)
+		if e.Budget <= 0 {
+			if !bytes.Equal(out, data) {
+				t.Fatal("rewrite modified bytes with no deadline field")
+			}
+			return
+		}
+		want = canon(e)
+		want.Budget = time.Second
+		if e3, body3, err := ParseEnvelope(out); err != nil || e3 != want || !bytes.Equal(body3, body) {
+			t.Fatalf("rewrite: (%+v, %x, %v), want (%+v, %x)", e3, body3, err, want, body)
 		}
 	})
 }

@@ -2,16 +2,14 @@ package wire
 
 import "time"
 
-// Priority header and pushback payload. Both belong to the overload
-// machinery: the priority header lets a sender declare which class its
-// request travels in, and the pushback payload is what an overloaded
-// kernel answers shed requests with. The primitives live here (like the
-// deadline header in deadline.go) because the kernel below core must
-// read the one and write the other without understanding payloads.
+// Priority class and pushback payload. Both belong to the overload
+// machinery: the class (Envelope.Priority) is how a sender declares what
+// its request travels as, and the pushback payload is what an overloaded
+// kernel answers shed requests with.
 
 // Priority classifies a request for admission control. The zero value is
-// PriorityNormal, so headerless payloads from pre-priority peers are
-// admitted exactly like before.
+// PriorityNormal, so a request with no envelope is admitted as ordinary
+// traffic.
 type Priority uint8
 
 // Priority classes.
@@ -40,47 +38,6 @@ func (p Priority) String() string {
 	default:
 		return "priority(?)"
 	}
-}
-
-// PriorityMagic introduces the optional priority header: [magic, class
-// byte]. It follows the convention of the trace (0xF5) and deadline
-// (0xF6) headers — codec tags occupy 1..13, so any leading byte ≥ 0xF0
-// is unambiguously a header, and headerless payloads decode unchanged.
-//
-// Senders that stamp a priority write this header FIRST (before the
-// deadline and trace headers): the receiving kernel classifies a frame
-// by peeking only at payload[0], without knowing the other headers'
-// shapes. A payload whose priority header is buried deeper still decodes
-// correctly above the kernel but is admitted as PriorityNormal.
-const PriorityMagic = 0xF7
-
-// AppendPriorityHeader prefixes dst with a priority header. Normal
-// priority appends nothing — the default needs no bytes on the wire.
-func AppendPriorityHeader(dst []byte, p Priority) []byte {
-	if p == PriorityNormal {
-		return dst
-	}
-	return append(dst, PriorityMagic, byte(p))
-}
-
-// SplitPriorityHeader strips a leading priority header, returning the
-// class it carried (PriorityNormal if absent) and the rest of the
-// payload.
-func SplitPriorityHeader(payload []byte) (Priority, []byte) {
-	if len(payload) < 2 || payload[0] != PriorityMagic {
-		return PriorityNormal, payload
-	}
-	return Priority(payload[1]), payload[2:]
-}
-
-// PeekPriority classifies a request payload for admission without
-// consuming anything: the class of a leading priority header, or
-// PriorityNormal for headerless (or differently-headed) payloads.
-func PeekPriority(payload []byte) Priority {
-	if len(payload) >= 2 && payload[0] == PriorityMagic {
-		return Priority(payload[1])
-	}
-	return PriorityNormal
 }
 
 // AppendPushback builds the payload of a FlagPushback error response:

@@ -14,8 +14,8 @@ func TestPriorityHeaderRoundTrip(t *testing.T) {
 		if got != pri || !bytes.Equal(rest, body) {
 			t.Errorf("split(%s) = (%s, %q)", pri, got, rest)
 		}
-		if peeked := PeekPriority(p); peeked != pri {
-			t.Errorf("peek(%s) = %s", pri, peeked)
+		if e, rest, err := ParseEnvelope(p); err != nil || e != (Envelope{Priority: pri}) || !bytes.Equal(rest, body) {
+			t.Errorf("parse(%s) = (%+v, %q, %v)", pri, e, rest, err)
 		}
 	}
 	// Normal priority is the default and writes nothing on the wire.
@@ -24,10 +24,10 @@ func TestPriorityHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPriorityHeaderlessPeers pins the compatibility contract: payloads
-// from peers that predate the priority header — including ones that look
-// almost like a header — classify as PriorityNormal and pass through
-// SplitPriorityHeader untouched.
+// TestPriorityHeaderlessPeers pins the field codec's contract: bytes that
+// do not open with a whole priority field — including ones that look
+// almost like one — pass through SplitPriorityHeader untouched, and an
+// envelope parsed off them carries PriorityNormal or is rejected.
 func TestPriorityHeaderlessPeers(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -36,12 +36,12 @@ func TestPriorityHeaderlessPeers(t *testing.T) {
 		{"empty", nil},
 		{"codec body", []byte{0x01, 0x02, 0x03}},
 		{"deadline header first", append(AppendDeadlineHeader(nil, time.Second), 0x01)},
-		{"bare magic, truncated", []byte{PriorityMagic}},
-		{"magic mid-payload", []byte{0x05, PriorityMagic, 0x01}},
+		{"bare magic, truncated", []byte{priorityMagic}},
+		{"magic mid-payload", []byte{0x05, priorityMagic, 0x01}},
 	}
 	for _, tc := range cases {
-		if got := PeekPriority(tc.payload); got != PriorityNormal {
-			t.Errorf("%s: peek = %s, want normal", tc.name, got)
+		if e, _, _ := ParseEnvelope(tc.payload); e.Priority != PriorityNormal {
+			t.Errorf("%s: parsed priority = %s, want normal", tc.name, e.Priority)
 		}
 		pri, rest := SplitPriorityHeader(tc.payload)
 		if pri != PriorityNormal || !bytes.Equal(rest, tc.payload) {
@@ -63,20 +63,20 @@ func TestPriorityString(t *testing.T) {
 	}
 }
 
-// TestDeadlineBehindPriority covers the header ordering contract: the
-// priority header travels first, and the deadline helpers must see
-// through it.
+// TestDeadlineBehindPriority covers the field ordering contract: the
+// priority field travels first, and the envelope parser finds the
+// deadline behind it.
 func TestDeadlineBehindPriority(t *testing.T) {
 	body := []byte("body")
 	p := AppendPriorityHeader(nil, PriorityHigh)
 	p = AppendDeadlineHeader(p, time.Second)
 	p = append(p, body...)
 
-	if !HasDeadlineHeader(p) {
-		t.Fatal("deadline header behind priority header not detected")
+	if e, _, err := ParseEnvelope(p); err != nil || e.Budget != time.Second {
+		t.Fatalf("deadline behind priority not found: %+v, %v", e, err)
 	}
-	if HasDeadlineHeader(AppendPriorityHeader(nil, PriorityLow)) {
-		t.Error("priority-only payload claims a deadline header")
+	if e, _, err := ParseEnvelope(AppendPriorityHeader(nil, PriorityLow)); err != nil || e.Budget != 0 {
+		t.Errorf("priority-only envelope claims a deadline: %+v, %v", e, err)
 	}
 
 	out := RewriteDeadlineHeader(p, 100*time.Millisecond)
