@@ -121,13 +121,17 @@ examples:
 	$(GO) run ./examples/newsfeed
 
 # Non-test Go lines in the hot-path packages and in the whole repository
-# (benchmark/ included): the figures ROADMAP item 6 tracks.
+# (benchmark/ included), then the command-line flags each daemon and CLI
+# defines: the figures ROADMAP's LOC and surface targets track.
 loc:
 	@hot=0; for p in core kernel rpc wire netsim session shard replica; do \
 		n=$$(find internal/$$p -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		hot=$$((hot + n)); printf '%-18s %6d\n' internal/$$p $$n; \
 	done; printf '%-18s %6d\n' hot-path $$hot
 	@printf '%-18s %6d\n' repository $$(find . -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@for c in proxyd proxyctl; do \
+		printf '%-18s %6d\n' "$$c flags" $$(find cmd/$$c -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE 'flag\.(Bool|String|Int|Int64|Uint|Uint64|Duration|Float64|Var|Func)\('); \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,10 +85,12 @@ func newChaosCluster(t *testing.T, n int, cliOpts []rpc.ClientOption, rtOpts ...
 }
 
 // TestChaosFailoverUnderCrash crashes and restarts the serving node on a
-// seeded schedule while a client hammers an idempotent workload through a
-// failover-aware stub. The invariant: at least 99% of invocations complete
-// with no client-visible error (in practice 100% — the alternate node
-// never fails).
+// seeded schedule while a client runs a fixed number of idempotent
+// invocations through a failover-aware stub. The schedule's offsets are
+// read as positions in the workload, not wall time, so a seed crashes the
+// primary at the same invocations however fast the machine runs them. The
+// invariant: at least 99% of invocations complete with no client-visible
+// error (in practice 100% — the alternate node never fails).
 func TestChaosFailoverUnderCrash(t *testing.T) {
 	leakCheck(t)
 	c := newChaosCluster(t, 3,
@@ -112,39 +115,50 @@ func TestChaosFailoverUnderCrash(t *testing.T) {
 	stub := p.(*core.Stub)
 	stub.SetAlternates([]codec.Ref{ref1, ref2})
 
-	const runFor = 400 * time.Millisecond
+	const (
+		ops    = 2000
+		window = 400 * time.Millisecond // the schedule's span, mapped onto ops
+	)
 	sched := netsim.GenSchedule(chaosSeed(), netsim.ChaosConfig{
 		Nodes:    []wire.NodeID{1}, // only the primary crashes; the backup stays up
-		Duration: runFor,
+		Duration: window,
 		Crashes:  3,
 		MinDown:  30 * time.Millisecond,
 		MaxDown:  80 * time.Millisecond,
 	})
 	t.Logf("schedule (seed %d):\n%s", chaosSeed(), sched)
-	run := sched.Run(c.net)
+	evs := sched.Events
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 
-	var total, failed int
-	deadline := time.Now().Add(runFor)
-	for time.Now().Before(deadline) {
-		key := fmt.Sprintf("k%d", total%8)
-		if _, err := stub.Invoke(context.Background(), "put", key, int64(total)); err != nil {
-			failed++
-			t.Logf("invocation %d failed: %v", total, err)
+	var failed, crashedOps int
+	for i := 0; i < ops; i++ {
+		for len(evs) > 0 && int(evs[0].At*ops/window) <= i {
+			evs[0].Apply(c.net)
+			evs = evs[1:]
 		}
-		total++
+		if c.net.Crashed(1) {
+			crashedOps++
+		}
+		key := fmt.Sprintf("k%d", i%8)
+		if _, err := stub.Invoke(context.Background(), "put", key, int64(i)); err != nil {
+			failed++
+			t.Logf("invocation %d failed: %v", i, err)
+		}
 	}
-	run.Wait()
+	for _, ev := range evs { // restarts scheduled past the end
+		ev.Apply(c.net)
+	}
 
-	if total < 50 {
-		t.Fatalf("workload only issued %d invocations — too few to judge", total)
+	if crashedOps == 0 {
+		t.Fatal("no invocation ran while the primary was down — schedule never bit")
 	}
-	if ratio := float64(total-failed) / float64(total); ratio < 0.99 {
-		t.Errorf("success ratio %.4f (%d/%d), want >= 0.99", ratio, total-failed, total)
+	if failed > ops/100 {
+		t.Errorf("%d of %d invocations failed, want at most %d (99%% success)", failed, ops, ops/100)
 	}
 	if stub.Failovers() == 0 {
-		t.Error("workload rode out crashes without a single failover — schedule never bit")
+		t.Error("workload rode out crashes without a single failover")
 	}
-	t.Logf("%d invocations, %d failed, %d failovers", total, failed, stub.Failovers())
+	t.Logf("%d invocations (%d with the primary down), %d failed, %d failovers", ops, crashedOps, failed, stub.Failovers())
 }
 
 // TestChaosTracedFailover pins the deterministic half of the invariant: a

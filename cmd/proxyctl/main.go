@@ -75,7 +75,6 @@ func main() {
 	dirNode := flag.Uint("dir", 1, "node id hosting the root directory")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-operation timeout")
 	traceInvoke := flag.Bool("trace", false, "trace the invoke command and print the merged trace tree")
-	trains := flag.Bool("trains", true, "advertise train capability so daemons may coalesce replies to this client")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -94,11 +93,7 @@ func main() {
 	// Advertise train capability so daemons may coalesce replies to this
 	// client; a one-shot CLI generates no fan-in of its own, so the
 	// wrapper's send side stays in its inline mode throughout.
-	var kernelEP netsim.Endpoint = ep
-	if *trains {
-		kernelEP = netsim.Coalesce(ep, wire.CoalescerConfig{})
-	}
-	node := kernel.NewNode(kernelEP)
+	node := kernel.NewNode(netsim.Coalesce(ep, wire.CoalescerConfig{}))
 	defer node.Close()
 	ktx, err := node.NewContext()
 	if err != nil {

@@ -32,10 +32,10 @@
 // "services/replica" (inspect it with proxyctl group).
 //
 // Outbound frames to the same destination coalesce into train frames
-// under fan-in (-trains, on by default; -train-frames/-train-bytes bound
-// each train). The capability is learned per peer from frame flags, so a
-// mixed deployment with pre-train daemons degrades to frame-at-a-time
-// toward them with no configuration.
+// under fan-in; trains are the one batching mechanism below the kernel.
+// The capability is learned per peer from frame flags, so a mixed
+// deployment with pre-train daemons degrades to frame-at-a-time toward
+// them with no configuration.
 //
 // With -sharded-kv the demo KV is exported through the sharding smart
 // proxy: its keyspace is consistent-hashed across -shard-members local
@@ -113,9 +113,6 @@ func main() {
 	sessionMax := flag.Int("session-max", 0, "max live client sessions in the dedup table, LRU-evicted beyond it (0 = session package default)")
 	sessionTTL := flag.Duration("session-ttl", session.DefaultTTL, "evict client sessions idle longer than this; a retry after eviction fails with session-expired (0 = never)")
 	hedgeDelay := flag.Duration("hedge", 0, "hedge idempotent reads: race a second attempt to an alternate binding after this delay floor, adapting up to observed p95 (0 = off)")
-	trains := flag.Bool("trains", true, "coalesce same-destination frames into trains under fan-in (peers fall back automatically if they don't speak trains)")
-	trainFrames := flag.Int("train-frames", 0, "max members per train (0 = wire package default)")
-	trainBytes := flag.Int("train-bytes", 0, "max member payload bytes per train (0 = wire package default)")
 	traceFrames := flag.Bool("trace", false, "log every frame sent and received")
 	httpAddr := flag.String("http", "", "optional HTTP listen address serving /metrics and /traces text dumps")
 	flag.Parse()
@@ -133,16 +130,7 @@ func main() {
 	// and the kernel pump learns which peers can unpack them from the
 	// capability bit on their frames. The node owns the wrapper — its
 	// Close drains the flushers before the TCP endpoint goes away.
-	var kernelEP netsim.Endpoint = ep
-	var coalescer *wire.Coalescer
-	if *trains {
-		ce := netsim.Coalesce(ep, wire.CoalescerConfig{
-			MaxFrames: *trainFrames,
-			MaxBytes:  *trainBytes,
-		})
-		coalescer = ce.Coalescer()
-		kernelEP = ce
-	}
+	ce := netsim.Coalesce(ep, wire.CoalescerConfig{})
 	observer := obs.NewObserver()
 	var nodeOpts []kernel.NodeOption
 	if *dispatchLimit != kernel.DefaultDispatchLimit {
@@ -164,7 +152,7 @@ func main() {
 			log.Printf("%s %s", dir, f)
 		}))
 	}
-	node := kernel.NewNode(kernelEP, nodeOpts...)
+	node := kernel.NewNode(ce, nodeOpts...)
 	defer node.Close()
 	ktx, err := node.NewContext()
 	if err != nil {
@@ -200,9 +188,8 @@ func main() {
 	// Fast-path health gauges: pool hit rates and allocs/op show up in
 	// `proxyctl stats` next to the service counters.
 	obs.RegisterFastPathMetrics(observer.Registry, rt.InvokeCount)
-	// Train gauges: fill, inline/staged split, and the unpack counters
-	// (send-side ones only when -trains is on; coalescer may be nil).
-	obs.RegisterTrainMetrics(observer.Registry, coalescer)
+	// Train gauges: fill, inline/staged split, and the unpack counters.
+	obs.RegisterTrainMetrics(observer.Registry, ce.Coalescer())
 	// Inbound frames dropped because the receive queue was full (the pump
 	// blocked on the dispatch limit for longer than 1024 frames): senders
 	// see these only as timeouts, so a non-zero value explains them.

@@ -128,6 +128,48 @@ func TestBreakerProbeTimeoutReadmits(t *testing.T) {
 	}
 }
 
+func TestBreakerPressureWeighsHalfAFailure(t *testing.T) {
+	b, clk := newTestBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second})
+	// Three pressures are one and a half failures: still closed.
+	for i := 0; i < 3; i++ {
+		b.Pressure()
+	}
+	if b.State() != BreakerClosed {
+		t.Fatalf("three pressures at threshold 2 left state %v, want closed", b.State())
+	}
+	b.Pressure() // the second whole failure
+	if b.State() != BreakerOpen {
+		t.Fatalf("four pressures at threshold 2 left state %v, want open", b.State())
+	}
+	b.Pressure() // a straggler while open: keeps cooling
+	if b.Allow() {
+		t.Fatal("open breaker admitted a call after a straggling pressure")
+	}
+
+	// A pressured probe closes the breaker one failure from re-opening.
+	clk.advance(time.Second + time.Millisecond)
+	if ok, probe := b.Admit(); !ok || !probe {
+		t.Fatalf("Admit after cooldown = %v, %v, want probe", ok, probe)
+	}
+	b.Pressure()
+	if b.State() != BreakerClosed {
+		t.Fatalf("pressured probe left state %v, want closed", b.State())
+	}
+	b.Failure()
+	if b.State() != BreakerOpen {
+		t.Fatalf("one failure after a pressured probe left state %v, want open", b.State())
+	}
+
+	// A clean success clears the half-counts.
+	b.Success()
+	b.Pressure()
+	b.Success()
+	b.Pressure()
+	if b.State() != BreakerClosed {
+		t.Fatalf("pressures split by a success tripped the breaker: %v", b.State())
+	}
+}
+
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 	b, _ := newTestBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second})
 	b.Failure()

@@ -508,41 +508,6 @@ func (n *Network) deliver(dst *simEndpoint, f *wire.Frame) {
 	}
 }
 
-// deliverBatch hands one scheduler tick's worth of due frames for one
-// link to their shared endpoint, folding the per-frame stats updates
-// into a single locked update instead of two lock round-trips per
-// frame. All frames in a batch target the same endpoint.
-func (n *Network) deliverBatch(dst *simEndpoint, frames []*wire.Frame) {
-	n.mu.Lock()
-	if n.crashed[dst.node] {
-		n.stats.Crashed += uint64(len(frames))
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	var delivered, overrun, bytes uint64
-	dst.mu.Lock()
-	if dst.closed {
-		dst.mu.Unlock()
-		return
-	}
-	for _, f := range frames {
-		select {
-		case dst.recv <- f:
-			delivered++
-			bytes += uint64(f.EncodedLen())
-		default:
-			overrun++
-		}
-	}
-	dst.mu.Unlock()
-	n.mu.Lock()
-	n.stats.Delivered += delivered
-	n.stats.BytesMoved += bytes
-	n.stats.Overrun += overrun
-	n.mu.Unlock()
-}
-
 // linkQueue serializes deliveries on one directed link. Each frame's delay
 // decides its due time, but a frame never overtakes the one ahead of it:
 // due times are clamped to be monotonic (FIFO with head-of-line blocking),
@@ -554,7 +519,6 @@ type linkQueue struct {
 
 	mu      sync.Mutex
 	items   []queuedFrame
-	scratch []*wire.Frame // reused batch buffer for pop's tick flush
 	lastDue time.Time
 	armed   bool
 	timer   *time.Timer
@@ -601,38 +565,20 @@ func (q *linkQueue) arm(d time.Duration) {
 	}
 }
 
-// pop delivers every due frame in order, then re-arms for the next one.
-// Delivery happens under q.mu: that is what serializes the link. Frames
-// that are due together are coalesced into one batch per tick (sharing
-// one endpoint push and one stats update) rather than delivered one
-// lock round-trip at a time.
+// pop delivers every due frame in order, one at a time, then re-arms for
+// the next one. Delivery happens under q.mu: that is what serializes the
+// link.
 func (q *linkQueue) pop() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) > 0 {
-		if wait := time.Until(q.items[0].due); wait > 0 {
+		head := q.items[0]
+		if wait := time.Until(head.due); wait > 0 {
 			q.arm(wait)
 			return
 		}
-		// Batch the contiguous run of frames that are already due and
-		// share the head's endpoint. (After a crash–reattach cycle a
-		// queue can hold frames for an old endpoint incarnation; runs
-		// split at the boundary so each batch has one destination.)
-		dst := q.items[0].dst
-		n := 1
-		for n < len(q.items) && q.items[n].dst == dst && !q.items[n].due.After(time.Now()) {
-			n++
-		}
-		q.scratch = q.scratch[:0]
-		for i := 0; i < n; i++ {
-			q.scratch = append(q.scratch, q.items[i].f)
-		}
-		q.items = q.items[n:]
-		if n == 1 {
-			q.net.deliver(dst, q.scratch[0])
-		} else {
-			q.net.deliverBatch(dst, q.scratch)
-		}
+		q.items = q.items[1:]
+		q.net.deliver(head.dst, head.f)
 	}
 	q.items = nil
 	q.armed = false

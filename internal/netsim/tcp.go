@@ -41,70 +41,42 @@ type TCPEndpoint struct {
 }
 
 // tcpConn serializes writes: concurrent frame sends must not interleave
-// partial writes on one socket. Writes are coalesced group-commit
-// style: each sender encodes its frame into the staging buffer under
-// the lock, and whichever sender finds no flusher active becomes the
-// flusher, draining the buffer to the socket in one Write per batch.
-// Senders that arrive while a flush is in progress stage their bytes
-// and return immediately — the active flusher carries them out on its
-// next drain pass. One syscall then covers every frame that arrived
-// during the previous syscall, amortizing per-send overhead under
-// concurrency without adding latency when the link is idle.
+// partial writes on one socket. Each frame is one Write under the lock;
+// batching is the coalescer's job (Coalesce), which already queues each
+// destination's sends behind one emitter.
 type tcpConn struct {
 	c net.Conn
 	// learned marks routes discovered from accepted connections; they are
 	// evicted when their connection dies, while dialed routes redial.
 	learned bool
 
-	mu       sync.Mutex
-	buf      []byte // staged encoded frames awaiting flush
-	spare    []byte // recycled second buffer (rotates with buf)
-	flushing bool
-	err      error // sticky: once a write fails the conn is dead
+	mu  sync.Mutex
+	buf []byte // reused encode buffer
+	err error  // sticky: once a write fails the conn is dead
 }
 
-// maxStagedBuf bounds how large a recycled staging buffer may stay; a
-// one-off giant batch is released to the GC instead of pinned forever.
+// maxStagedBuf bounds how large the reused encode buffer may stay; a
+// one-off giant frame is released to the GC instead of pinned forever.
 const maxStagedBuf = 1 << 20
 
 func (tc *tcpConn) writeFrame(f *wire.Frame) error {
 	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	if tc.err != nil {
-		err := tc.err
-		tc.mu.Unlock()
-		return err
+		return tc.err
 	}
-	buf, err := f.Encode(tc.buf)
+	buf, err := f.Encode(tc.buf[:0])
 	if err != nil {
-		tc.mu.Unlock()
 		return err
 	}
-	tc.buf = buf
-	if tc.flushing {
-		// An active flusher will pick these bytes up; returning now is
-		// within Endpoint.Send's best-effort contract (a later write
-		// failure surfaces as a sticky error on the next send).
-		tc.mu.Unlock()
-		return nil
+	if cap(buf) <= maxStagedBuf {
+		tc.buf = buf
 	}
-	tc.flushing = true
-	for err == nil && len(tc.buf) > 0 {
-		out := tc.buf
-		tc.buf = tc.spare[:0]
-		tc.spare = nil
-		tc.mu.Unlock()
-		_, err = tc.c.Write(out)
-		tc.mu.Lock()
-		if cap(out) <= maxStagedBuf {
-			tc.spare = out[:0]
-		}
-		if err != nil {
-			tc.err = err
-		}
+	if _, err := tc.c.Write(buf); err != nil {
+		tc.err = err
+		return err
 	}
-	tc.flushing = false
-	tc.mu.Unlock()
-	return err
+	return nil
 }
 
 // ListenTCP starts an endpoint for node listening on listenAddr. peers
@@ -180,9 +152,9 @@ func (e *TCPEndpoint) hangUp(conn net.Conn) {
 }
 
 // readBufSize is the per-connection read buffer: one read syscall drains
-// everything the peer's flusher wrote (a train of small frames, or a
-// whole 16 KiB payload with its header and trailer) instead of one
-// syscall per frame header and another per body.
+// everything the peer wrote (a train of small frames, or a whole 16 KiB
+// payload with its header and trailer) instead of one syscall per frame
+// header and another per body.
 const readBufSize = 32 << 10
 
 // pollBound is how long a hot connection's reader polls an empty socket

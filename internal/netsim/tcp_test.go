@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,6 +107,103 @@ func TestTCPManyFrames(t *testing.T) {
 	if len(seen) != count {
 		t.Errorf("received %d distinct frames, want %d", len(seen), count)
 	}
+}
+
+// senderPayload is frame i of sender s in TestTCPConcurrentSenders: mostly
+// small, every 25th at least bigFrame, its bytes a function of (s, i).
+func senderPayload(s, i int) []byte {
+	n := 1 + i*37%200
+	if i%25 == 0 {
+		n = bigFrame + i
+	}
+	p := make([]byte, n)
+	for j := range p {
+		p[j] = byte(s*31 + i + j*7)
+	}
+	return p
+}
+
+func TestTCPConcurrentSenders(t *testing.T) {
+	// Many goroutines share one connection: every frame arrives once and
+	// intact, in its sender's order, and once the peer is gone every Send
+	// reports an error of its own.
+	a, b := tcpPair(t)
+	const senders, perSender = 8, 500
+	// Tokens keep the frames in flight below b's receive queue, which
+	// would otherwise drop (and count) the excess.
+	tokens := make(chan struct{}, cap(b.recv)/2)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				tokens <- struct{}{}
+				f := frameTo(1, 2, "")
+				f.ReqID = uint64(s)<<32 | uint64(i)
+				f.Payload = senderPayload(s, i)
+				if err := a.Send(f); err != nil {
+					t.Errorf("sender %d frame %d: %v", s, i, err)
+					return
+				}
+			}
+		}()
+	}
+	var next [senders]int
+	for n := 0; n < senders*perSender; n++ {
+		f := recvWithin(t, b, 5*time.Second)
+		s, i := int(f.ReqID>>32), int(uint32(f.ReqID))
+		if s >= senders {
+			t.Fatalf("frame from unknown sender %d", s)
+		}
+		if i != next[s] {
+			t.Fatalf("frame %d of sender %d arrived, want frame %d", i, s, next[s])
+		}
+		if !bytes.Equal(f.Payload, senderPayload(s, i)) {
+			t.Fatalf("sender %d frame %d: payload of %d bytes damaged", s, i, len(f.Payload))
+		}
+		next[s]++
+		<-tokens
+	}
+	wg.Wait()
+	select {
+	case f := <-b.Recv():
+		t.Fatalf("extra frame %x after every frame arrived", f.ReqID)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := b.RecvOverruns(); n != 0 {
+		t.Fatalf("%d frames overran the receive queue", n)
+	}
+
+	// Close the peer and wait for a's reader to hang its end up.
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		a.mu.Lock()
+		live := len(a.live)
+		a.mu.Unlock()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a's connection still open 2s after the peer closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := a.Send(frameTo(1, 2, "into the void")); err == nil {
+					t.Errorf("sender %d: Send %d after the peer closed returned nil", s, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTCPCloseIdempotent(t *testing.T) {

@@ -17,29 +17,27 @@ import (
 // real transport) saved per send, and a fill stuck near 1 means the
 // coalescer is paying staging cost for no batching win.
 func RegisterTrainMetrics(reg *Registry, co *wire.Coalescer) {
-	if co != nil {
-		reg.GaugeFunc("wire.trains.sent", func() string {
-			return fmt.Sprintf("%d", co.Stats().TrainsSent)
-		})
-		reg.GaugeFunc("wire.trains.cut", func() string {
-			return fmt.Sprintf("%d", co.Stats().FlushCut)
-		})
-		reg.GaugeFunc("wire.trains.avg_fill", func() string {
-			return fmt.Sprintf("%.2f", co.Stats().AvgFill())
-		})
-		reg.GaugeFunc("wire.trains.inline_sends", func() string {
-			return fmt.Sprintf("%d", co.Stats().InlineSends)
-		})
-		reg.GaugeFunc("wire.trains.staged_frames", func() string {
-			return fmt.Sprintf("%d", co.Stats().StagedFrames)
-		})
-		reg.GaugeFunc("wire.trains.overflow", func() string {
-			return fmt.Sprintf("%d", co.Stats().Overflow)
-		})
-		reg.GaugeFunc("wire.trains.send_errors", func() string {
-			return fmt.Sprintf("%d", co.Stats().SendErrors)
-		})
-	}
+	reg.GaugeFunc("wire.trains.sent", func() string {
+		return fmt.Sprintf("%d", co.Stats().TrainsSent)
+	})
+	reg.GaugeFunc("wire.trains.cut", func() string {
+		return fmt.Sprintf("%d", co.Stats().FlushCut)
+	})
+	reg.GaugeFunc("wire.trains.avg_fill", func() string {
+		return fmt.Sprintf("%.2f", co.Stats().AvgFill())
+	})
+	reg.GaugeFunc("wire.trains.inline_sends", func() string {
+		return fmt.Sprintf("%d", co.Stats().InlineSends)
+	})
+	reg.GaugeFunc("wire.trains.staged_frames", func() string {
+		return fmt.Sprintf("%d", co.Stats().StagedFrames)
+	})
+	reg.GaugeFunc("wire.trains.overflow", func() string {
+		return fmt.Sprintf("%d", co.Stats().Overflow)
+	})
+	reg.GaugeFunc("wire.trains.send_errors", func() string {
+		return fmt.Sprintf("%d", co.Stats().SendErrors)
+	})
 	reg.GaugeFunc("wire.trains.unpacked", func() string {
 		return fmt.Sprintf("%d", wire.ReadTrainStats().TrainsUnpacked)
 	})

@@ -55,14 +55,4 @@ func TestRegisterTrainMetrics(t *testing.T) {
 	if got["wire.trains.sent"] != "0" {
 		t.Errorf("trains sent = %q, want 0 for idle inline traffic", got["wire.trains.sent"])
 	}
-
-	// Without a coalescer only the unpack gauges register (a receive-only
-	// process still wants the rejected-members signal).
-	recvOnly := obs.NewRegistry()
-	obs.RegisterTrainMetrics(recvOnly, nil)
-	n := 0
-	recvOnly.Each(func(kind, name, value string) { n++ })
-	if n != 3 {
-		t.Errorf("receive-only registry has %d gauges, want 3", n)
-	}
 }
