@@ -77,12 +77,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The second run repeats the tests over state several goroutines reach at
-# once — a sender's cut, the flusher's sweep and the TCP write path — so a
-# rare interleaving gets ten chances, not one.
+# The later runs repeat the tests over state several goroutines reach at
+# once — a sender's cut, the flusher's sweep and the TCP write path; the
+# dedup lookup on the receive pump against commits from handler workers —
+# so a rare interleaving gets ten chances, not one.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Coalescer|Trains|TCP' ./internal/wire ./internal/netsim .
+	$(GO) test -race -count=10 -run 'Dedup|Session|Retransmi|Pushback|Expired|AtLeastOnce' ./internal/kernel ./internal/rpc
 
 vet:
 	$(GO) vet ./...

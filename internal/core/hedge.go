@@ -63,20 +63,8 @@ type hedgeState struct {
 // form. No distinct alternate → no hedge (racing a binding against
 // itself just doubles load on the slow server).
 func (s *Stub) hedgePair() (ref, alt codec.Ref, ok bool) {
-	s.mu.Lock()
-	ref = s.ref
-	alts := append([]codec.Ref(nil), s.alts...)
-	s.mu.Unlock()
-	var best codec.Ref
-	bestScore, found := 0.0, false
-	for _, a := range alts {
-		if a.Target == ref.Target {
-			continue
-		}
-		if sc := s.rt.HealthScore(a.Target.Addr.Node); !found || sc < bestScore {
-			best, bestScore, found = a, sc, true
-		}
-	}
+	ref = s.Ref()
+	best, bestScore, found := s.healthiestAlternate(func(a codec.Ref) bool { return a.Target == ref.Target })
 	if !found {
 		return ref, codec.Ref{}, false
 	}

@@ -27,8 +27,8 @@ func mintCap() (uint64, error) {
 // frames for one service, decodes the invocation (installing proxies for
 // any references in the arguments), runs the service, and encodes the
 // results (lowering any proxies/services in them to references). It sits
-// behind an rpc.Server so retransmitted requests are suppressed
-// (at-most-once execution).
+// behind an rpc.Server; the kernel's dedup lookup in front of that
+// suppresses retransmitted requests (at-most-once execution).
 type serverObject struct {
 	rt *Runtime
 	// cap is the capability token invocations must present; zero means the

@@ -348,43 +348,41 @@ func (s *Stub) ejectBinding(ref codec.Ref) (codec.Ref, bool) {
 	if cur < degradePressureScore {
 		return ref, false
 	}
-	s.mu.Lock()
-	alts := append([]codec.Ref(nil), s.alts...)
-	s.mu.Unlock()
-	best, bestScore, found := ref, cur, false
-	for _, a := range alts {
-		if a.Target == ref.Target {
-			continue
-		}
-		if sc := s.rt.HealthScore(a.Target.Addr.Node); sc < bestScore {
-			best, bestScore, found = a, sc, true
-		}
+	best, score, ok := s.healthiestAlternate(func(a codec.Ref) bool { return a.Target == ref.Target })
+	if !ok || score >= cur {
+		return ref, false
 	}
-	return best, found
+	return best, true
 }
 
-// nextBinding picks the untried alternate whose node carries the lowest
-// gray-failure score (first-listed wins ties, so without a monitor the
-// original listed order is preserved), falling back to one rebinder
-// lookup per invocation.
-func (s *Stub) nextBinding(ctx context.Context, tried map[wire.ObjAddr]bool, usedRebinder *bool) (codec.Ref, bool) {
+// healthiestAlternate picks, among the alternates skip does not exclude,
+// the one whose node carries the lowest gray-failure score, and reports
+// that score. The first-listed wins ties, so without a monitor it is the
+// first alternate skip lets through.
+func (s *Stub) healthiestAlternate(skip func(codec.Ref) bool) (best codec.Ref, score float64, ok bool) {
 	s.mu.Lock()
 	alts := append([]codec.Ref(nil), s.alts...)
-	rb := s.rebinder
 	s.mu.Unlock()
-	var best codec.Ref
-	bestScore, found := 0.0, false
 	for _, a := range alts {
-		if tried[a.Target] {
+		if skip(a) {
 			continue
 		}
-		if sc := s.rt.HealthScore(a.Target.Addr.Node); !found || sc < bestScore {
-			best, bestScore, found = a, sc, true
+		if sc := s.rt.HealthScore(a.Target.Addr.Node); !ok || sc < score {
+			best, score, ok = a, sc, true
 		}
 	}
-	if found {
+	return best, score, ok
+}
+
+// nextBinding picks the healthiest untried alternate, falling back to one
+// rebinder lookup per invocation.
+func (s *Stub) nextBinding(ctx context.Context, tried map[wire.ObjAddr]bool, usedRebinder *bool) (codec.Ref, bool) {
+	if best, _, ok := s.healthiestAlternate(func(a codec.Ref) bool { return tried[a.Target] }); ok {
 		return best, true
 	}
+	s.mu.Lock()
+	rb := s.rebinder
+	s.mu.Unlock()
 	if rb != nil && !*usedRebinder {
 		*usedRebinder = true
 		if ref, ok := rb(ctx); ok && !tried[ref.Target] {

@@ -101,7 +101,7 @@ func e18Latency(cfg Config) (fresh, hit bench.Summary, applies, ops int, err err
 	if err != nil {
 		return fresh, hit, 0, 0, err
 	}
-	cnode := kernelNode(cep)
+	cnode := kernel.NewNode(cep)
 	defer cnode.Close()
 	cktx, err := cnode.NewContext()
 	if err != nil {

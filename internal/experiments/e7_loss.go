@@ -17,11 +17,12 @@ import (
 
 // E7AtMostOnce sweeps message loss and checks the reliability machinery:
 // calls keep succeeding (retransmission), each executes exactly once
-// (duplicate suppression), and the ablation row served by a bare kernel
-// handler — an rpc.Server without dedup is exactly that — shows duplicate
-// executions: why the dedup table exists. Expected shape: latency and
-// retransmissions climb with loss; the "executed" column equals the op
-// count in every dedup row and exceeds it in the bare-handler ablation.
+// (duplicate suppression), and the ablation row shows what a server
+// without the kernel's dedup lookup would run: every request transmission
+// that reaches its node, counted by the node's trace hook as it arrives.
+// Expected shape: latency and retransmissions climb with loss; the
+// "executed" column equals the op count in every dedup row and exceeds it
+// in the ablation.
 func E7AtMostOnce(w io.Writer, cfg Config) error {
 	header(w, "E7", "at-most-once under loss")
 	losses := []float64{0, 0.05, 0.10, 0.20}
@@ -39,7 +40,7 @@ func E7AtMostOnce(w io.Writer, cfg Config) error {
 			}
 			label := "on"
 			if !dedup {
-				label = "off (bare handler)"
+				label = "off (arrivals)"
 			}
 			tab.Add(fmt.Sprintf("%.0f", loss*100), label, mean, retr, executed, ops)
 		}
@@ -56,15 +57,24 @@ func e7Run(cfg Config, loss float64, dedup bool, ops int) (time.Duration, uint64
 	)
 	defer net.Close()
 
-	serverRT, clientRT, cleanup, err := e7Runtimes(net)
+	// The ablation counts request transmissions reaching the server node:
+	// the client's calls are the only requests it receives.
+	var executed atomic.Int64
+	arrivals := kernel.WithTrace(func(dir kernel.TraceDirection, f *wire.Frame) {
+		if !dedup && dir == kernel.TraceRecv && f.Kind == wire.KindRequest && f.Flags&wire.FlagResponse == 0 {
+			executed.Add(1)
+		}
+	})
+	serverRT, clientRT, cleanup, err := e7Runtimes(net, arrivals)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer cleanup()
 
-	var executed atomic.Int64
 	svc := core.ServiceFunc(func(ctx context.Context, method string, args []any) ([]any, error) {
-		executed.Add(1)
+		if dedup {
+			executed.Add(1)
+		}
 		return nil, nil
 	})
 
@@ -72,30 +82,13 @@ func e7Run(cfg Config, loss float64, dedup bool, ops int) (time.Duration, uint64
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	// Server-side at-most-once is built into the export path; the ablation
-	// reaches beneath it with a bare kernel handler that runs every frame
-	// it is handed.
-	target := exported.Target
-	if !dedup {
-		id := serverRT.Kernel().Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
-			executed.Add(1)
-			_ = ktx.Respond(f, wire.KindReply, nil)
-		}))
-		target = wire.ObjAddr{Addr: serverRT.Addr(), Object: id}
-	}
-
 	client := rpc.NewClient(clientRT.Kernel(),
 		rpc.WithRetryInterval(5*time.Millisecond), rpc.WithMaxAttempts(200))
 	ctx := context.Background()
 	var timer bench.Timer
 	for i := 0; i < ops; i++ {
 		start := time.Now()
-		var err error
-		if dedup {
-			_, err = client.Call(ctx, target, wire.KindRequest, e7Request())
-		} else {
-			_, err = client.Call(ctx, target, wire.KindRequest, nil)
-		}
+		_, err := client.Call(ctx, exported.Target, wire.KindRequest, e7Request())
 		timer.Record(time.Since(start))
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("op %d: %w", i, err)
@@ -113,13 +106,15 @@ func e7Request() []byte {
 	return buf
 }
 
-func e7Runtimes(net *netsim.Network) (server, client *core.Runtime, cleanup func(), err error) {
-	mk := func(id wire.NodeID) (*core.Runtime, func(), error) {
+// e7Runtimes builds the server runtime on node 1, its node carrying opts,
+// and the client runtime on node 2.
+func e7Runtimes(net *netsim.Network, opts ...kernel.NodeOption) (server, client *core.Runtime, cleanup func(), err error) {
+	mk := func(id wire.NodeID, opts ...kernel.NodeOption) (*core.Runtime, func(), error) {
 		ep, err := net.Attach(id)
 		if err != nil {
 			return nil, nil, err
 		}
-		node := kernelNode(ep)
+		node := kernel.NewNode(ep, opts...)
 		ktx, err := node.NewContext()
 		if err != nil {
 			node.Close()
@@ -127,7 +122,7 @@ func e7Runtimes(net *netsim.Network) (server, client *core.Runtime, cleanup func
 		}
 		return core.NewRuntime(ktx), func() { node.Close() }, nil
 	}
-	server, c1, err := mk(1)
+	server, c1, err := mk(1, opts...)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -31,15 +31,16 @@ const kindProbeReq = wire.KindCustom + 60
 
 // prober serves indirect-probe requests out of the monitor's context. It
 // is a raw kernel handler (not an rpc server): probes are idempotent and
-// loss-tolerant, so at-most-once machinery would buy nothing.
+// loss-tolerant, and the kernel's dedup lookup sees them like any other
+// request, so it answers through Context.Respond, which commits the reply
+// and clears the probe's in-flight mark.
 type prober struct{ m *Monitor }
 
 // HandleFrame implements kernel.Handler: ping the requested target with
 // the monitor's probe timeout and report whether it answered. Handlers
 // run on their own dispatch goroutine, so blocking on the ping is fine.
 func (p *prober) HandleFrame(ktx *kernel.Context, f *wire.Frame) {
-	if f.Kind != kindProbeReq || f.Flags&wire.FlagResponse != 0 ||
-		f.Flags&wire.FlagOneWay != 0 || f.Src.IsZero() {
+	if f.Kind != kindProbeReq || f.Flags&wire.FlagOneWay != 0 || f.Src.IsZero() {
 		return
 	}
 	t, _, err := wire.Uvarint(f.Payload)
@@ -60,19 +61,11 @@ func (p *prober) HandleFrame(ktx *kernel.Context, f *wire.Frame) {
 			alive, rtt = true, time.Since(start)
 		}
 	}
-	resp := wire.GetFrame()
-	resp.Kind = kindProbeReq
-	resp.Flags = wire.FlagResponse
-	resp.ReqID = f.ReqID
-	resp.Dst = f.Src
-	resp.Object = f.Object
 	b := byte(0)
 	if alive {
 		b = 1
 	}
-	resp.Payload = wire.AppendUvarint(append(resp.Payload[:0], b), uint64(rtt))
-	_ = ktx.Send(resp)
-	resp.Release()
+	_ = ktx.Respond(f, kindProbeReq, wire.AppendUvarint([]byte{b}, uint64(rtt)))
 }
 
 // relaysFor picks up to indirectK nodes to relay a probe to the target:

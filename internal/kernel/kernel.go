@@ -1,10 +1,12 @@
 // Package kernel implements the node/context runtime the proxy principle
 // assumes: nodes host contexts (address spaces), contexts host objects, and
 // the kernel's only job is to move frames between objects. It provides
-// request/reply correlation but deliberately does not interpret payloads —
-// invocation semantics live in the layers above (rpc, core), and
-// service-private protocols pass through unexamined: admission class and
-// dedup identity are fields of the frame's wire.Envelope, never payload bytes.
+// request/reply correlation and at-most-once execution — every two-way
+// request is looked up once in the node's dedup table before admission —
+// but deliberately does not interpret payloads: invocation semantics live
+// in the layers above (rpc, core), and service-private protocols pass
+// through unexamined. Admission class and dedup identity come from the
+// frame's header and wire.Envelope, never from payload bytes.
 package kernel
 
 import (
@@ -25,7 +27,9 @@ import (
 
 // Handler receives the frames addressed to one object. Implementations are
 // invoked concurrently and must do their own locking. The frame is owned by
-// the handler (it will not be reused by the kernel).
+// the handler (it will not be reused by the kernel). A two-way request is
+// answered through Context.Respond: until it is, a retransmission of it is
+// dropped as in flight, and after, answered with the committed reply.
 type Handler interface {
 	HandleFrame(ktx *Context, f *wire.Frame)
 }
@@ -168,17 +172,17 @@ func WithTrace(fn func(dir TraceDirection, f *wire.Frame)) NodeOption {
 }
 
 // WithSessions substitutes a configured dedup table for the default one
-// every node has. The table is consulted below the object layer: a
-// session-stamped request (wire.Envelope.Session) whose (session, seq)
-// already executed is answered from the cached reply without dispatching
-// a handler; one still executing is dropped (the original will answer
-// the retransmitting client); one whose session the table evicted is
-// refused with the session-expired error. Requests without a stamp
-// cost one field test here; rpc.Server presents those to the same
-// table under the frame's own identity. Replies sent through
-// Context.Respond/RespondError are recorded automatically; kernel-level
-// no-route and pushback responses bypass recording by construction
-// (they prove the invocation never ran — a retry SHOULD execute).
+// every node has. Dispatch presents every two-way request to it, below
+// the object layer and before admission, under the identity the request
+// carries: its session stamp (wire.Envelope.Session, Seq) or else its
+// transmission (source address and request id). A request that already
+// executed is answered from the cached reply without dispatching a
+// handler; one still executing is dropped (the original will answer the
+// retransmitting client); one the table has forgotten is refused with the
+// session-expired error. Replies sent through Context.Respond/RespondError
+// are recorded automatically; kernel-level no-route and pushback responses
+// bypass recording by construction (they prove the invocation never ran —
+// a retry SHOULD execute).
 func WithSessions(tab *session.Table) NodeOption {
 	return func(nd *Node) { nd.sessions = tab }
 }
@@ -247,9 +251,8 @@ func NewNode(ep netsim.Endpoint, opts ...NodeOption) *Node {
 // ID reports the node's identity.
 func (n *Node) ID() wire.NodeID { return n.ep.LocalNode() }
 
-// SessionTable exposes the node's dedup table (never nil): rpc.Server
-// answers retransmissions from it, and the stats service reports its
-// occupancy.
+// SessionTable exposes the node's dedup table (never nil), for the stats
+// service to report its occupancy.
 func (n *Node) SessionTable() *session.Table { return n.sessions }
 
 // SetInboundObserver installs (nil removes) a hook called with the source
@@ -616,15 +619,13 @@ func (c *Context) dispatch(f *wire.Frame) {
 		}
 		return
 	}
-	// Exactly-once dedup: consulted after the object lookup — a missing
-	// object must answer no-route so failover knows the request never ran
-	// — and before admission, so a replay is answered from cache even on
-	// a saturated node. Only session-stamped requests take this path; the
-	// common unstamped case costs one field test.
-	tab := c.node.sessions
-	sessSID, sessSeq, sessionBegun := SessionStamp(f)
-	if sessionBegun {
-		switch verdict, ent := tab.Begin(sessSID, sessSeq); verdict {
+	// At-most-once execution: the one lookup in the node's dedup table,
+	// after the object lookup — a missing object must answer no-route so
+	// failover knows the request never ran — and before admission or the
+	// dispatch slot, so a repeat of a request that already ran is answered
+	// from cache even on a saturated node, never shed.
+	if sid, seq, repeat, ok := identity(f); ok {
+		switch verdict, ent := c.node.sessions.BeginTransmission(sid, seq, repeat); verdict {
 		case session.Replay:
 			c.replayCached(f, ent)
 			return
@@ -635,7 +636,7 @@ func (c *Context) dispatch(f *wire.Frame) {
 		case session.Expired:
 			c.replyExpired(f)
 			return
-		default: // Fresh: marked in flight; Respond/RespondError commit it.
+		default: // Fresh: marked in flight; Respond commits it.
 		}
 	}
 	if ac := c.node.adm; ac != nil {
@@ -643,18 +644,9 @@ func (c *Context) dispatch(f *wire.Frame) {
 		// run now, queue briefly, or shed with pushback. The pump never
 		// blocks; overload turns into fast failures instead of
 		// backpressure-then-timeout.
-		shed := func(retryAfter time.Duration) { c.replyOverload(f, retryAfter) }
-		if sessionBegun {
-			// A shed request never executed: release the in-flight mark so
-			// the client's retry is Fresh, not stuck behind a ghost.
-			shed = func(retryAfter time.Duration) {
-				tab.Abort(sessSID, sessSeq)
-				c.replyOverload(f, retryAfter)
-			}
-		}
 		ac.Submit(admissionClass(f),
 			func() { h.HandleFrame(c, f) },
-			shed)
+			func(retryAfter time.Duration) { c.shed(f, retryAfter) })
 		return
 	}
 	select {
@@ -670,9 +662,6 @@ func (c *Context) dispatch(f *wire.Frame) {
 // issues a fresh ReqID per attempt; (session, seq) is the stable
 // identity across them.
 func (c *Context) replayCached(f *wire.Frame, ent *session.Entry) {
-	if f.Src.IsZero() {
-		return
-	}
 	kind := ent.Kind
 	if ent.IsErr {
 		kind = wire.KindError
@@ -686,31 +675,59 @@ func (c *Context) replayCached(f *wire.Frame, ent *session.Entry) {
 // flag would license failover, and an alternate binding knows even less
 // about whether the original executed.
 func (c *Context) replyExpired(f *wire.Frame) {
-	if f.Src.IsZero() {
-		return
-	}
 	_ = c.node.respond(c, f, wire.KindError, 0, session.ExpiredPayload())
 }
 
-// SessionStamp reports the (session, seq) identity under which dispatch
-// deduplicates f: the envelope's stamp on a two-way invocation or
-// service-private request. A layer above that deduplicates transmissions
-// (rpc.Server) leaves such a frame to the kernel's lookup.
-func SessionStamp(f *wire.Frame) (sid, seq uint64, ok bool) {
-	if f.Flags&wire.FlagOneWay != 0 || (f.Kind != wire.KindRequest && f.Kind < wire.KindCustom) {
-		return 0, 0, false
+// identity names the dedup identity f is presented under; only a two-way
+// request with a source has one. A session stamp on an invocation or
+// service-private request is (Envelope.Session, Seq), and any presentation
+// of it may repeat an earlier one: a failover attempt is a new
+// transmission of an old call. Any other request is known by its
+// transmission, and only a frame flagged FlagRetransmit repeats one —
+// rpc.Client flags every re-send and the network never duplicates a frame.
+func identity(f *wire.Frame) (sid, seq uint64, repeat, ok bool) {
+	if f.Flags&wire.FlagOneWay != 0 || f.Src.IsZero() {
+		return 0, 0, false, false
 	}
-	return f.Envelope.Session, f.Envelope.Seq, f.Envelope.Session != 0
+	if f.Envelope.Session != 0 && (f.Kind == wire.KindRequest || f.Kind >= wire.KindCustom) {
+		return f.Envelope.Session, f.Envelope.Seq, true, true
+	}
+	sid, seq = transmission(f)
+	return sid, seq, f.Flags&wire.FlagRetransmit != 0, true
 }
 
-// recordSession commits an object-layer reply into the dedup table when
-// the request it answers was session-stamped. Only Respond calls it:
-// kernel-level no-route, pushback, and expired responses are never
-// recorded — correctly: they prove the invocation did not run.
-func (c *Context) recordSession(req *wire.Frame, kind wire.Kind, payload []byte) {
-	if sid, seq, ok := SessionStamp(req); ok {
-		c.node.sessions.Commit(sid, seq, kind, kind == wire.KindError, payload)
+// transmission names f's transmission identity to a session.Table. A
+// request id is a conversation id over a sequence number (NewContext): the
+// session is (source address, conversation) and the sequence gives the
+// table's floor its order (offset by one, the floor starts at 0). The
+// key's 96 bits are hashed into the table's 64: two conversations, or one
+// and a minted session id, collide with probability 2⁻⁶⁴ a pair.
+func transmission(f *wire.Frame) (sid, seq uint64) {
+	sid = mix64(mix64(uint64(f.Src.Node)<<32|uint64(f.Src.Context)) + f.ReqID>>32)
+	if sid == 0 {
+		sid = 1 // 0 means "no session" to the table
 	}
+	return sid, f.ReqID&0xFFFFFFFF + 1
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// shed answers a request the admission controller turned away. It never
+// executed, so its in-flight mark is released — a retry under the same
+// identity runs instead of waiting behind a ghost — and the sender is
+// pushed back.
+func (c *Context) shed(f *wire.Frame, retryAfter time.Duration) {
+	if sid, seq, _, ok := identity(f); ok {
+		c.node.sessions.Abort(sid, seq)
+	}
+	c.replyOverload(f, retryAfter)
 }
 
 // admissionClass grades an inbound request for the admission controller.
@@ -844,10 +861,15 @@ func (c *Context) failPending(err error) {
 	}
 }
 
-// Respond answers a request frame with the given kind and payload, and
-// is the one response that commits into the session table.
+// Respond answers a request frame with the given kind and payload. It is
+// the one writer of the node's dedup table: the reply is committed under
+// the identity dispatch looked the request up by, so a repeat is answered
+// from the table. Kernel-level no-route, pushback and expired responses
+// never pass here — they prove the request did not run.
 func (c *Context) Respond(req *wire.Frame, kind wire.Kind, payload []byte) error {
-	c.recordSession(req, kind, payload)
+	if sid, seq, _, ok := identity(req); ok {
+		c.node.sessions.Commit(sid, seq, kind, kind == wire.KindError, payload)
+	}
 	return c.node.respond(c, req, kind, 0, payload)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/overload"
+	"repro/internal/session"
 	"repro/internal/wire"
 )
 
@@ -47,8 +48,10 @@ func TestPrivatePayloadNeverRead(t *testing.T) {
 			t.Errorf("two distinct requests opening %#x ran the handler %d times, want 2", lead, got)
 		}
 	}
-	if st := n2.SessionTable().Stats(); st.Sessions != 0 {
-		t.Errorf("unstamped private requests left %d sessions in the dedup table", st.Sessions)
+	// Each request is looked up under its transmission; none became the
+	// session the payload bytes spell.
+	if v, _ := n2.SessionTable().Peek(1, 1); v != session.Fresh {
+		t.Errorf("payload bytes became dedup identity (1, 1): verdict %v", v)
 	}
 }
 

@@ -66,8 +66,8 @@ func TestDeadlineBudgetFastFail(t *testing.T) {
 	// ErrDeadlineBudget instead of sleeping into the deadline.
 	r := newRig(t,
 		[]netsim.NetworkOption{netsim.WithDefaultLink(netsim.LinkConfig{LossRate: 0.9999999}), netsim.WithSeed(1)},
-		WithRetryInterval(5*time.Millisecond), WithMaxAttempts(10),
-		WithBackoff(1000, 10*time.Second), WithJitter(false))
+		WithRetryInterval(5*time.Millisecond), WithMaxAttempts(10))
+	r.client.backoffFactor, r.client.backoffMax = 1000, 10*time.Second
 	dst, _ := r.serve(HandlerFunc(echo))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)

@@ -1,10 +1,12 @@
 // Package rpc implements the classic remote-procedure-call baseline the
 // proxy principle is positioned against, and the reliability machinery
 // smart proxies reuse: client-side retransmission under a stable request
-// id, every re-send flagged, and server-side duplicate suppression that
-// answers, drops or refuses a retransmission from the hosting node's
-// session.Table and never runs it twice (at-most-once execution
-// semantics in the style of Birrell & Nelson).
+// id, every re-send flagged, and a server adapter that runs a handler and
+// answers it. Duplicate suppression is not this layer's: the kernel looks
+// every request up in the hosting node's session.Table before dispatch,
+// so a retransmission is answered, dropped or refused there and never
+// runs twice (at-most-once execution semantics in the style of Birrell &
+// Nelson).
 //
 // The layer is payload-agnostic: it moves opaque bytes (the envelope is a
 // frame field beside them). Invocation marshalling lives above it, and
@@ -50,15 +52,14 @@ var (
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithRetryInterval sets the base retransmission interval (default 50 ms).
-// Setting it (without WithBackoff) also selects a fixed, unjittered
-// interval, so tests that reason about exact retransmit counts stay
-// deterministic.
+// WithRetryInterval replaces the default policy with a fixed, unjittered
+// retransmission interval d, so callers that reason about exact
+// retransmit counts stay deterministic.
 func WithRetryInterval(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {
 			c.retryEvery = d
-			c.intervalSet = true
+			c.backoffFactor, c.backoffMax, c.jitter = 0, 0, false
 		}
 	}
 }
@@ -70,37 +71,6 @@ func WithMaxAttempts(n int) ClientOption {
 		if n > 0 {
 			c.maxAttempts = n
 		}
-	}
-}
-
-// WithBackoff grows the retransmission interval by factor after every
-// attempt, capped at max. Backoff implies jitter (each wait drawn
-// uniformly from [interval/2, interval]) unless WithJitter(false) turns
-// it off: a fleet of clients retrying a recovering node in lockstep is
-// itself a failure mode.
-func WithBackoff(factor float64, max time.Duration) ClientOption {
-	return func(c *Client) {
-		if factor > 1 {
-			c.backoffFactor = factor
-		}
-		if max > 0 {
-			c.backoffMax = max
-		}
-		c.backoffSet = true
-	}
-}
-
-// WithJitter forces jitter on or off, overriding what the other options
-// imply. With jitter on, every retransmit wait is drawn uniformly from
-// [interval/2, interval]: spread enough to decorrelate retry storms, and
-// never so short that a healthy peer is retransmitted at before it had
-// the time to answer — a draw from all of (0, interval] did that to one
-// or two calls per thousand, each an extra frame and a duplicate for the
-// server's dedup table to absorb.
-func WithJitter(on bool) ClientOption {
-	return func(c *Client) {
-		c.jitter = on
-		c.jitterSet = true
 	}
 }
 
@@ -152,9 +122,6 @@ type Client struct {
 	backoffFactor float64
 	backoffMax    time.Duration
 	jitter        bool
-	jitterSet     bool
-	intervalSet   bool
-	backoffSet    bool
 
 	budget *overload.Budget // nil unless WithRetryBudget
 
@@ -171,27 +138,24 @@ type Client struct {
 }
 
 // NewClient builds a client over a kernel context. The default retry
-// policy is jittered exponential backoff (base 50 ms, factor 2, cap 2 s);
-// WithRetryInterval alone selects a fixed deterministic interval instead.
+// policy is jittered exponential backoff (base 50 ms, factor 2, cap 2 s):
+// a fleet of clients retrying a recovering node in lockstep is itself a
+// failure mode. Each jittered wait is drawn uniformly from
+// [interval/2, interval] — spread enough to decorrelate retry storms, and
+// never so short that a healthy peer is retransmitted at before it had
+// the time to answer. WithRetryInterval selects a fixed deterministic
+// interval instead.
 func NewClient(ktx *kernel.Context, opts ...ClientOption) *Client {
 	c := &Client{
-		ktx:         ktx,
-		retryEvery:  50 * time.Millisecond,
-		maxAttempts: 8,
+		ktx:           ktx,
+		retryEvery:    50 * time.Millisecond,
+		maxAttempts:   8,
+		backoffFactor: 2,
+		backoffMax:    2 * time.Second,
+		jitter:        true,
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	switch {
-	case !c.intervalSet && !c.backoffSet:
-		// Nobody asked for a specific policy: back off with jitter.
-		c.backoffFactor = 2
-		c.backoffMax = 2 * time.Second
-		if !c.jitterSet {
-			c.jitter = true
-		}
-	case c.backoffSet && !c.jitterSet:
-		c.jitter = true
 	}
 	if c.obs == nil {
 		c.obs = obs.NewObserver()

@@ -113,7 +113,7 @@ func TestAtMostOnceUnderLoss(t *testing.T) {
 		WithRetryInterval(5*time.Millisecond), WithMaxAttempts(100))
 	// Lossy only on the reply path: server node 2 → client node 1.
 	r.net.SetLink(2, 1, netsim.LinkConfig{LossRate: 0.7})
-	dst, srv := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
+	dst, _ := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
 		executions.Add(1)
 		return wire.KindReply, []byte("done"), nil
 	}))
@@ -126,8 +126,7 @@ func TestAtMostOnceUnderLoss(t *testing.T) {
 	if got := executions.Load(); got != calls {
 		t.Errorf("executed %d times for %d calls (at-most-once violated)", got, calls)
 	}
-	st := srv.Stats()
-	if st.DupCached == 0 {
+	if st := r.srvCtx.Node().SessionTable().Stats(); st.Hits == 0 {
 		t.Error("no duplicates suppressed despite 70% reply loss")
 	}
 	if cst := r.client.Stats(); cst.Retransmits == 0 {
@@ -136,9 +135,9 @@ func TestAtMostOnceUnderLoss(t *testing.T) {
 }
 
 func TestAtLeastOnceWithoutReplyCache(t *testing.T) {
-	// Ablation: a bare kernel handler — an rpc.Server without its dedup
-	// lookup — runs every retransmission it is handed, which is why the
-	// lookup exists.
+	// A bare kernel handler, no rpc.Server in front of it, is at-most-once
+	// too: retransmissions reach the node, and the kernel's dedup lookup
+	// answers them from the reply the handler committed through Respond.
 	var executions atomic.Int64
 	r := newRig(t,
 		[]netsim.NetworkOption{netsim.WithSeed(11)},
@@ -155,8 +154,11 @@ func TestAtLeastOnceWithoutReplyCache(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := executions.Load(); got <= calls {
-		t.Errorf("executed %d times for %d calls; expected duplicates without dedup", got, calls)
+	if got := executions.Load(); got != calls {
+		t.Errorf("executed %d times for %d calls (at-most-once violated)", got, calls)
+	}
+	if cst := r.client.Stats(); cst.Retransmits == 0 {
+		t.Error("client never retransmitted despite 70% reply loss")
 	}
 }
 
@@ -164,7 +166,7 @@ func TestInFlightDuplicateDropped(t *testing.T) {
 	release := make(chan struct{})
 	var executions atomic.Int64
 	r := newRig(t, nil, WithRetryInterval(10*time.Millisecond), WithMaxAttempts(20))
-	dst, srv := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
+	dst, _ := r.serve(HandlerFunc(func(req *Request) (wire.Kind, []byte, []byte) {
 		executions.Add(1)
 		<-release
 		return wire.KindReply, []byte("slow"), nil
@@ -183,7 +185,7 @@ func TestInFlightDuplicateDropped(t *testing.T) {
 	if got := executions.Load(); got != 1 {
 		t.Errorf("executed %d times, want 1", got)
 	}
-	if st := srv.Stats(); st.DupInFlight == 0 {
+	if st := r.srvCtx.Node().SessionTable().Stats(); st.InFlight == 0 {
 		t.Error("no in-flight duplicates recorded")
 	}
 }
@@ -344,8 +346,8 @@ func TestBackoffGrowsInterval(t *testing.T) {
 	r := newRig(t, []netsim.NetworkOption{
 		netsim.WithDefaultLink(netsim.LinkConfig{LossRate: 0.9999999}),
 		netsim.WithSeed(1),
-	}, WithRetryInterval(10*time.Millisecond), WithMaxAttempts(5),
-		WithBackoff(2, 40*time.Millisecond), WithJitter(false))
+	}, WithRetryInterval(10*time.Millisecond), WithMaxAttempts(5))
+	r.client.backoffFactor, r.client.backoffMax = 2, 40*time.Millisecond
 	dst, _ := r.serve(HandlerFunc(echo))
 	start := time.Now()
 	_, err := r.client.Call(context.Background(), dst, wire.KindRequest, nil)
@@ -478,8 +480,8 @@ func TestLateRetransmissionNeverReexecutes(t *testing.T) {
 	if kv.store["k"] != "v2" || kv.puts["k"] != 2 {
 		t.Errorf("store[k] = %q after %d put executions, want v2 after 2", kv.store["k"], kv.puts["k"])
 	}
-	if st := srv.Stats(); st.DupRefused != 1 || st.Executed != 302 {
-		t.Errorf("server stats = %+v, want 1 refusal and 302 executions", st)
+	if st, ts := srv.Stats(), srvCtx.Node().SessionTable().Stats(); ts.Expired != 1 || st.Executed != 302 {
+		t.Errorf("%d executions, %d refusals; want 302 and 1", st.Executed, ts.Expired)
 	}
 }
 
@@ -505,8 +507,8 @@ func TestFirstTransmissionBelowFloorExecutes(t *testing.T) {
 	if f := c.send(held, wire.FlagRetransmit, []byte("late")); f.Kind != wire.KindReply || string(f.Payload) != "late" {
 		t.Errorf("its retransmission answered %v %q, want the cached reply", f.Kind, f.Payload)
 	}
-	if st := srv.Stats(); st.Executed != 11 || st.DupCached != 1 || st.DupRefused != 0 {
-		t.Errorf("server stats = %+v, want 11 executions, 1 replay, no refusal", st)
+	if st, ts := srv.Stats(), srvCtx.Node().SessionTable().Stats(); st.Executed != 11 || ts.Hits != 1 || ts.Expired != 0 {
+		t.Errorf("%d executions, %d replays, %d refusals; want 11, 1 and 0", st.Executed, ts.Hits, ts.Expired)
 	}
 }
 
@@ -537,14 +539,14 @@ func TestRestartedCallerIsNotRefused(t *testing.T) {
 	if f := again.send(newConv|1, wire.FlagRetransmit, []byte("hello")); f.Kind != wire.KindReply || string(f.Payload) != "hello" {
 		t.Errorf("restarted caller's retransmission answered %v %q, want it executed", f.Kind, f.Payload)
 	}
-	if st := srv.Stats(); st.Executed != 11 || st.DupRefused != 1 {
-		t.Errorf("server stats = %+v, want 11 executions and the one refusal above", st)
+	if st, ts := srv.Stats(), srvCtx.Node().SessionTable().Stats(); st.Executed != 11 || ts.Expired != 1 {
+		t.Errorf("%d executions, %d refusals; want 11 and the one refusal above", st.Executed, ts.Expired)
 	}
 }
 
 // TestStampedRequestLooksUpOnce: a request carrying a session stamp is
-// deduplicated by the kernel under (sid, seq) and not a second time under
-// its transmission identity — the table ends with one session, one reply.
+// deduplicated under (sid, seq) and not a second time under its
+// transmission identity — the table ends with one session, one reply.
 func TestStampedRequestLooksUpOnce(t *testing.T) {
 	net := netsim.New()
 	t.Cleanup(net.Close)
@@ -562,14 +564,15 @@ func TestStampedRequestLooksUpOnce(t *testing.T) {
 	if v, _ := tab.Peek(0xABCD, 1); v != session.Replay {
 		t.Errorf("(sid, seq) verdict = %v, want replay", v)
 	}
-	// Its retransmission is answered by the kernel, below the server.
+	// Its retransmission is answered by the kernel, before the server.
 	if f := c.send(id, wire.FlagRetransmit, stamped); f.Kind != wire.KindReply || !bytes.Equal(f.Payload, stamped) || f.Envelope != (wire.Envelope{}) {
 		t.Errorf("retransmission answered %v %q under envelope %+v; kernel responses carry none", f.Kind, f.Payload, f.Envelope)
 	}
-	if st, ts := srv.Stats(), tab.Stats(); st.Executed != 1 || st.DupCached != 0 || ts.Hits != 1 {
-		t.Errorf("server stats = %+v, table hits = %d; want 1 execution and the replay counted by the table alone", st, ts.Hits)
+	if st, ts := srv.Stats(), tab.Stats(); st.Executed != 1 || ts.Hits != 1 {
+		t.Errorf("%d executions, %d table hits; want 1 and 1", st.Executed, ts.Hits)
 	}
-	// An unstamped request is the server's to look up: one more session.
+	// An unstamped request is looked up under its transmission: one more
+	// session.
 	c.env = wire.Envelope{}
 	c.call(nil)
 	if st := tab.Stats(); st.Sessions != 2 || st.Replies != 2 {
@@ -590,6 +593,7 @@ func TestPerClientCacheIsolation(t *testing.T) {
 		return wire.KindReply, []byte("r"), nil
 	}))
 	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)}
+	tab := srvCtx.Node().SessionTable()
 
 	b := newCaller(t, net, 2, dst)
 	clientA := NewClient(attachContext(t, net, 3))
@@ -611,7 +615,7 @@ func TestPerClientCacheIsolation(t *testing.T) {
 	if got := executions.Load(); got != before {
 		t.Errorf("retransmission re-executed: %d -> %d (B's cache evicted by A)", before, got)
 	}
-	if st := srv.Stats(); st.DupCached == 0 {
+	if tab.Stats().Hits == 0 {
 		t.Error("retransmission was not served from the cache")
 	}
 }
@@ -634,6 +638,7 @@ func TestClientTableEviction(t *testing.T) {
 		return wire.KindReply, nil, nil
 	}))
 	dst := wire.ObjAddr{Addr: srvCtx.Addr(), Object: srvCtx.Register(srv)}
+	tab := srvCtx.Node().SessionTable()
 	ran := func(c *caller) int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -644,7 +649,7 @@ func TestClientTableEviction(t *testing.T) {
 	coldID := cold.call(nil)
 	warm1ID := warm1.call(nil)
 	warm2ID := warm2.call(nil) // third caller: the coldest session is evicted
-	if st := srvCtx.Node().SessionTable().Stats(); st.Sessions != 2 || st.Tombstones != 1 {
+	if st := tab.Stats(); st.Sessions != 2 || st.Tombstones != 1 {
 		t.Fatalf("table has %d sessions, %d tombstones after a third caller arrived; want 2 and 1", st.Sessions, st.Tombstones)
 	}
 
@@ -654,14 +659,49 @@ func TestClientTableEviction(t *testing.T) {
 	if f := warm2.send(warm2ID, wire.FlagRetransmit, nil); f.Kind != wire.KindReply {
 		t.Errorf("warm caller's retransmission answered %v %q", f.Kind, f.Payload)
 	}
-	if ran(warm1) != 1 || ran(warm2) != 1 || srv.Stats().DupCached != 2 {
+	if ran(warm1) != 1 || ran(warm2) != 1 || tab.Stats().Hits != 2 {
 		t.Errorf("warm callers ran %d and %d times, %d answers from cache; want 1, 1 and 2",
-			ran(warm1), ran(warm2), srv.Stats().DupCached)
+			ran(warm1), ran(warm2), tab.Stats().Hits)
 	}
 	wantRefused(t, cold.send(coldID, wire.FlagRetransmit, nil))
-	if st := srv.Stats(); ran(cold) != 1 || st.DupCached != 2 || st.DupRefused != 1 {
-		t.Errorf("evicted caller ran %d times, server stats %+v; want its retransmission refused (1 run, 2 cached, 1 refused)",
+	if st := tab.Stats(); ran(cold) != 1 || st.Hits != 2 || st.Expired != 1 {
+		t.Errorf("evicted caller ran %d times, table stats %+v; want its retransmission refused (1 run, 2 cached, 1 refused)",
 			ran(cold), st)
+	}
+}
+
+// silentUntil serves one object that answers only once its node has
+// received n transmissions of the request, and returns a client with a
+// fixed 5 ms retry interval and a reader of every transmission so far. The
+// node's trace hook records them as they arrive: the dedup lookup hands
+// the handler the first alone and drops the rest while it is in flight.
+func silentUntil(t *testing.T, n int) (*Client, wire.ObjAddr, func() []*wire.Frame) {
+	net := netsim.New()
+	t.Cleanup(net.Close)
+	var mu sync.Mutex
+	var seen []*wire.Frame
+	enough := make(chan struct{})
+	srvCtx := attachContext(t, net, 2, kernel.WithTrace(func(dir kernel.TraceDirection, f *wire.Frame) {
+		if dir != kernel.TraceRecv || f.Flags&wire.FlagResponse != 0 {
+			return
+		}
+		g := *f
+		g.Payload = append([]byte(nil), f.Payload...)
+		mu.Lock()
+		defer mu.Unlock()
+		if seen = append(seen, &g); len(seen) == n {
+			close(enough)
+		}
+	}))
+	id := srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
+		<-enough
+		_ = ktx.Respond(f, wire.KindReply, nil)
+	}))
+	client := NewClient(attachContext(t, net, 1), WithRetryInterval(5*time.Millisecond), WithMaxAttempts(50))
+	return client, wire.ObjAddr{Addr: srvCtx.Addr(), Object: id}, func() []*wire.Frame {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*wire.Frame(nil), seen...)
 	}
 }
 
@@ -670,39 +710,23 @@ func TestClientTableEviction(t *testing.T) {
 // every re-send carries FlagRetransmit, a re-send whose envelope budget
 // was refreshed included.
 func TestClientFlagsEveryResend(t *testing.T) {
-	r := newRig(t, nil, WithRetryInterval(5*time.Millisecond), WithMaxAttempts(50))
-	type arrival struct {
-		flags  uint16
-		budget time.Duration
-	}
-	var mu sync.Mutex
-	var seen []arrival
-	id := r.srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
-		mu.Lock()
-		seen = append(seen, arrival{f.Flags, f.Envelope.Budget})
-		n := len(seen)
-		mu.Unlock()
-		if n == 4 { // stay silent until the third re-send
-			_ = ktx.Respond(f, wire.KindReply, nil)
-		}
-	}))
+	client, dst, arrived := silentUntil(t, 4) // the third re-send
 	const total = 2 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), total)
 	defer cancel()
-	if _, err := r.client.CallEnvelope(ctx, wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, wire.KindRequest, wire.Envelope{Budget: total}, []byte("work")); err != nil {
+	if _, err := client.CallEnvelope(ctx, dst, wire.KindRequest, wire.Envelope{Budget: total}, []byte("work")); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	seen := arrived()
 	if len(seen) < 4 {
 		t.Fatalf("server saw %d transmissions, want at least 4", len(seen))
 	}
-	for i, a := range seen {
-		if flagged := a.flags&wire.FlagRetransmit != 0; flagged != (i > 0) {
+	for i, f := range seen {
+		if flagged := f.Flags&wire.FlagRetransmit != 0; flagged != (i > 0) {
 			t.Errorf("transmission %d: FlagRetransmit = %v, want %v", i, flagged, i > 0)
 		}
-		if i > 0 && (a.budget <= 0 || a.budget >= seen[0].budget) {
-			t.Errorf("transmission %d carries budget %v, want it refreshed below the first's %v", i, a.budget, seen[0].budget)
+		if b := f.Envelope.Budget; i > 0 && (b <= 0 || b >= seen[0].Envelope.Budget) {
+			t.Errorf("transmission %d carries budget %v, want it refreshed below the first's %v", i, b, seen[0].Envelope.Budget)
 		}
 	}
 }
@@ -712,27 +736,15 @@ func TestClientFlagsEveryResend(t *testing.T) {
 // field's magic (0xF6 …) goes out byte-identical on every re-send, ctx
 // deadline or not; only an envelope budget is ever refreshed.
 func TestPrivatePayloadRetransmittedVerbatim(t *testing.T) {
-	r := newRig(t, nil, WithRetryInterval(5*time.Millisecond), WithMaxAttempts(50))
 	private := []byte{0xF6, 0x80, 0x94, 0xEB, 0xDC, 0x03, 'p', 'a', 'g', 'e'} // reads as a 1 s deadline field
-	var mu sync.Mutex
-	var seen []*wire.Frame
-	id := r.srvCtx.Register(kernel.HandlerFunc(func(ktx *kernel.Context, f *wire.Frame) {
-		mu.Lock()
-		seen = append(seen, f)
-		n := len(seen)
-		mu.Unlock()
-		if n == 3 { // stay silent until the second re-send
-			_ = ktx.Respond(f, wire.KindReply, nil)
-		}
-	}))
+
+	client, dst, arrived := silentUntil(t, 3) // the second re-send
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := r.client.Call(ctx, wire.ObjAddr{Addr: r.srvCtx.Addr(), Object: id}, wire.KindCustom, private); err != nil {
+	if _, err := client.Call(ctx, dst, wire.KindCustom, private); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, f := range seen {
+	for i, f := range arrived() {
 		if !bytes.Equal(f.Payload, private) || f.Envelope != (wire.Envelope{}) {
 			t.Errorf("transmission %d: payload %x, envelope %+v; want the private bytes %x and no envelope", i, f.Payload, f.Envelope, private)
 		}
@@ -765,10 +777,11 @@ func TestRetryIntervalAloneStaysDeterministic(t *testing.T) {
 }
 
 func TestJitterDrawNeverBelowHalfInterval(t *testing.T) {
-	r := newRig(t, nil, WithBackoff(2, time.Second))
+	r := newRig(t, nil)
 	c := r.client
+	c.backoffMax = time.Second
 	if !c.jitter {
-		t.Fatal("WithBackoff should imply jitter unless WithJitter(false)")
+		t.Fatal("backoff should come with jitter")
 	}
 	// A wait far below the interval retransmits at a peer that is merely
 	// taking its normal time to answer.

@@ -8,8 +8,8 @@
 // methods safe to retry (Birrell–Nelson at-most-once semantics, held
 // below the object layer so every proxy kind inherits them).
 //
-// rpc.Server presents an unstamped request to the same table under its
-// caller's conversation and request id (BeginTransmission).
+// Kernel dispatch presents an unstamped request to the same table, once,
+// under its caller's conversation and request id (BeginTransmission).
 //
 // The table is bounded two ways: whole sessions are evicted LRU/TTL, and
 // each session keeps only its most recent replies. Evicting a session
