@@ -22,7 +22,7 @@ all: vet lint test race chaos stress bench-short fuzz-short benchmark-check buil
 # `-run '^Fuzz'` without `-fuzz` is Go's corpus-regression mode. Cheap
 # enough to ride in `make all`; grow the corpora with e.g.
 # go test -fuzz=FuzzPayloadHeaders -fuzztime=30s ./internal/wire
-FUZZ_PKGS ?= ./internal/wire ./internal/obs
+FUZZ_PKGS ?= ./internal/wire ./internal/obs ./internal/codec
 fuzz-short:
 	$(GO) test -count=1 -run '^Fuzz' $(FUZZ_PKGS)
 
@@ -79,12 +79,14 @@ test:
 
 # The later runs repeat the tests over state several goroutines reach at
 # once — a sender's cut, the flusher's sweep and the TCP write path; the
-# dedup lookup on the receive pump against commits from handler workers —
-# so a rare interleaving gets ten chances, not one.
+# dedup lookup on the receive pump against commits from handler workers;
+# a recycled reply waiter against late responses and Close, on every call
+# path that waits on one — so a rare interleaving gets ten chances, not one.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Coalescer|Trains|TCP' ./internal/wire ./internal/netsim .
 	$(GO) test -race -count=10 -run 'Dedup|Session|Retransmi|Pushback|Expired|AtLeastOnce' ./internal/kernel ./internal/rpc
+	$(GO) test -race -count=10 -run 'Pending|LateReply|Closed|Ping' ./internal/kernel ./internal/rpc ./internal/health
 
 vet:
 	$(GO) vet ./...

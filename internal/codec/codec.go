@@ -175,15 +175,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		dst = append(dst, byte(TagBytes))
 		return wire.AppendBytes(dst, x), nil
 	case []any:
-		dst = append(dst, byte(TagList))
-		dst = wire.AppendUvarint(dst, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			if dst, err = appendValue(dst, e, depth+1); err != nil {
-				return dst, err
-			}
-		}
-		return dst, nil
+		return appendList(dst, x, depth)
 	case map[string]any:
 		return appendStringMap(dst, x, depth)
 	case Struct:
@@ -216,6 +208,17 @@ func appendFloat(dst []byte, v float64) []byte {
 	return append(dst,
 		byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
 		byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
+}
+
+func appendList(dst []byte, l []any, depth int) ([]byte, error) {
+	dst = AppendListHeader(dst, len(l))
+	var err error
+	for _, e := range l {
+		if dst, err = appendValue(dst, e, depth+1); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 func appendStringMap(dst []byte, m map[string]any, depth int) ([]byte, error) {
@@ -272,7 +275,7 @@ func sortStrings(s []string) {
 
 // EncodeArgs encodes an argument vector (a TagList of the given values).
 func EncodeArgs(args ...any) ([]byte, error) {
-	return Append(nil, anySlice(args))
+	return appendList(nil, args, 0)
 }
 
 // AppendListHeader opens a TagList of exactly n elements; the caller
@@ -287,11 +290,4 @@ func AppendListHeader(dst []byte, n int) []byte {
 // depth-accounted exactly as Append nests list elements.
 func AppendElem(dst []byte, v any) ([]byte, error) {
 	return appendValue(dst, v, 1)
-}
-
-func anySlice(args []any) []any {
-	if args == nil {
-		return []any{}
-	}
-	return args
 }

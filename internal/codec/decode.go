@@ -63,7 +63,11 @@ func (d *Decoder) decodeValue(src []byte, depth int) (any, int, error) {
 		}
 		return append([]byte(nil), b...), 1 + n, nil
 	case TagList:
-		return d.decodeList(rest, depth)
+		l, n, err := d.decodeList(rest, depth)
+		if err != nil {
+			return nil, 0, err
+		}
+		return l, 1 + n, nil
 	case TagMap:
 		return d.decodeMap(rest, depth)
 	case TagStruct:
@@ -92,7 +96,9 @@ func (d *Decoder) decodeValue(src []byte, depth int) (any, int, error) {
 	}
 }
 
-func (d *Decoder) decodeList(src []byte, depth int) (any, int, error) {
+// decodeList parses the body of a TagList at depth (src follows the tag)
+// and reports the body bytes consumed.
+func (d *Decoder) decodeList(src []byte, depth int) ([]any, int, error) {
 	count, used, err := wire.Uvarint(src)
 	if err != nil {
 		return nil, 0, err
@@ -109,7 +115,7 @@ func (d *Decoder) decodeList(src []byte, depth int) (any, int, error) {
 		used += n
 		out = append(out, v)
 	}
-	return out, 1 + used, nil
+	return out, used, nil
 }
 
 func (d *Decoder) decodeMap(src []byte, depth int) (any, int, error) {
@@ -210,18 +216,30 @@ func Decode(src []byte) (any, int, error) {
 }
 
 // DecodeArgs decodes an argument vector produced by EncodeArgs, applying
-// the decoder's hooks to every element.
+// the decoder's hooks to every element. A list is decoded straight into
+// the returned slice, never boxed; anything else goes through Decode.
 func (d *Decoder) DecodeArgs(src []byte) ([]any, error) {
-	v, n, err := d.Decode(src)
+	var args []any
+	var n int
+	var err error
+	if len(src) > 0 && Tag(src[0]) == TagList {
+		args, n, err = d.decodeList(src[1:], 0)
+		n++ // the tag
+	} else {
+		var v any
+		var ok bool
+		if v, n, err = d.Decode(src); err == nil {
+			// A RefHook may answer a lone Ref with a list.
+			if args, ok = v.([]any); !ok && n == len(src) {
+				err = fmt.Errorf("codec: argument vector is %T, want list", v)
+			}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	if n != len(src) {
 		return nil, fmt.Errorf("codec: %d trailing bytes after argument vector", len(src)-n)
-	}
-	args, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("codec: argument vector is %T, want list", v)
 	}
 	return args, nil
 }

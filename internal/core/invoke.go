@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/kernel"
+	"repro/internal/wire"
 )
 
 // Invocation payload conventions. A request payload is the codec list
@@ -31,21 +32,18 @@ func EncodeRequest(cap uint64, method string, args []any) ([]byte, error) {
 
 // AppendRequest is EncodeRequest appending onto dst (which may be a
 // pooled buffer): the [cap, method, args...] list is encoded element by
-// element, with no intermediate vector.
+// element, with no intermediate vector. Cap and method are written typed,
+// in the bytes codec.Append gives a uint64 and a string, so neither is
+// boxed.
 func AppendRequest(dst []byte, cap uint64, method string, args []any) ([]byte, error) {
 	dst = codec.AppendListHeader(dst, len(args)+2)
-	dst, err := codec.AppendElem(dst, cap)
-	if err == nil {
-		dst, err = codec.AppendElem(dst, method)
-	}
+	dst = wire.AppendUvarint(append(dst, byte(codec.TagUint)), cap)
+	dst = wire.AppendString(append(dst, byte(codec.TagString)), method)
 	for _, a := range args {
-		if err != nil {
-			break
+		var err error
+		if dst, err = codec.AppendElem(dst, a); err != nil {
+			return nil, fmt.Errorf("core: encode request %q: %w", method, err)
 		}
-		dst, err = codec.AppendElem(dst, a)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: encode request %q: %w", method, err)
 	}
 	return dst, nil
 }

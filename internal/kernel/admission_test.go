@@ -47,7 +47,7 @@ func callEnveloped(c *Context, dst wire.Addr, obj wire.ObjectID, kind wire.Kind,
 	if err != nil {
 		return nil, err
 	}
-	defer c.CancelPending(id)
+	defer c.CancelPending(id, ch)
 	if err := c.Send(&wire.Frame{Kind: kind, ReqID: id, Dst: dst, Object: obj, Envelope: env, Payload: payload}); err != nil {
 		return nil, err
 	}

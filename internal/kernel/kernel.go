@@ -327,7 +327,7 @@ func (n *Node) Close() error {
 	err := n.ep.Close()
 	<-n.done
 	for _, c := range ctxs {
-		c.failPending(ErrClosed)
+		c.failPending()
 	}
 	return err
 }
@@ -597,17 +597,17 @@ func (c *Context) ObjectCount() int {
 
 func (c *Context) dispatch(f *wire.Frame) {
 	if f.Flags&wire.FlagResponse != 0 {
+		// The send happens under the shard's lock, which is what lets
+		// CancelPending recycle the waiter (see there); it never blocks,
+		// because the entry leaves the map with the waiter's one frame.
+		// Unmatched responses (late replies after timeout) are dropped.
 		s := c.shard(f.ReqID)
 		s.mu.Lock()
-		ch, ok := s.m[f.ReqID]
-		if ok {
+		if ch, ok := s.m[f.ReqID]; ok {
 			delete(s.m, f.ReqID)
+			ch <- f
 		}
 		s.mu.Unlock()
-		if ok {
-			ch <- f // buffered, never blocks
-		}
-		// Unmatched responses (late replies after timeout) are dropped.
 		return
 	}
 	c.mu.Lock()
@@ -754,30 +754,49 @@ func (c *Context) replyOverload(f *wire.Frame, retryAfter time.Duration) {
 // NextReqID allocates a request id unique within this context.
 func (c *Context) NextReqID() uint64 { return c.reqID.Add(1) }
 
-// NewPending allocates a request id and registers a response channel for
-// it. The caller owns retransmission and must call CancelPending when done
-// (a delivered response cancels implicitly). A nil frame on the channel
-// means the context shut down. This is the hook the rpc layer uses to
-// retransmit one logical request under a single id.
-func (c *Context) NewPending() (uint64, <-chan *wire.Frame, error) {
+// waiters recycles the one-slot channels pending calls wait on; only
+// CancelPending returns one, empty and out of every map (see there).
+var waiters = sync.Pool{New: func() any { return make(chan *wire.Frame, 1) }}
+
+// NewPending allocates a request id and registers a waiter for it: a
+// channel that receives the response (or nil when the context shuts
+// down), at most one frame. The caller only receives from it, owns
+// retransmission, and must hand both back to CancelPending exactly once
+// when done, whether or not a response arrived. This is the hook the rpc
+// layer uses to retransmit one logical request under a single id.
+func (c *Context) NewPending() (uint64, chan *wire.Frame, error) {
 	id := c.NextReqID()
-	// Response channels are deliberately not pooled: a late reply
-	// delivered into a recycled channel owned by a newer call would
-	// mis-correlate the two requests.
-	ch := make(chan *wire.Frame, 1)
+	ch := waiters.Get().(chan *wire.Frame)
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.closed.Load() {
+		waiters.Put(ch)
 		return 0, nil, ErrClosed
 	}
 	s.m[id] = ch
 	return id, ch, nil
 }
 
-// CancelPending abandons a pending request registered with NewPending.
-// Safe to call after the response arrived.
-func (c *Context) CancelPending(id uint64) { c.dropPending(id) }
+// CancelPending ends the pending request id and recycles its waiter ch.
+// Every frame reaches a waiter under its shard's lock (dispatch,
+// failPending), so once CancelPending holds that lock, either the entry
+// still maps to ch — no frame was sent, and deleting it stops any — or
+// the frame is already in ch's buffer, and the drain takes it. The waiter
+// goes back to the pool empty and unreachable. ch must not be used after.
+func (c *Context) CancelPending(id uint64, ch chan *wire.Frame) {
+	s := c.shard(id)
+	s.mu.Lock()
+	if s.m[id] == ch {
+		delete(s.m, id)
+	}
+	select {
+	case <-ch:
+	default:
+	}
+	s.mu.Unlock()
+	waiters.Put(ch)
+}
 
 // Send transmits a frame from this context. The frame's Src is stamped
 // with the context's address.
@@ -794,18 +813,11 @@ func (c *Context) Send(f *wire.Frame) error {
 // system kinds and for service-private protocols alike. Cancellation and
 // deadlines come from ctx. A KindError response is surfaced as *RemoteError.
 func (c *Context) Call(ctx context.Context, dst wire.Addr, obj wire.ObjectID, kind wire.Kind, flags uint16, payload []byte) (*wire.Frame, error) {
-	id := c.NextReqID()
-	ch := make(chan *wire.Frame, 1)
-
-	s := c.shard(id)
-	s.mu.Lock()
-	if c.closed.Load() {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	id, ch, err := c.NewPending()
+	if err != nil {
+		return nil, err
 	}
-	s.m[id] = ch
-	s.mu.Unlock()
-
+	defer c.CancelPending(id, ch)
 	f := wire.GetFrame()
 	f.Kind = kind
 	f.Flags = flags &^ wire.FlagResponse
@@ -813,10 +825,9 @@ func (c *Context) Call(ctx context.Context, dst wire.Addr, obj wire.ObjectID, ki
 	f.Dst = dst
 	f.Object = obj
 	f.Payload = payload
-	err := c.Send(f)
+	err = c.Send(f)
 	f.Release() // transports copy before Send returns
 	if err != nil {
-		c.dropPending(id)
 		return nil, err
 	}
 	select {
@@ -829,35 +840,23 @@ func (c *Context) Call(ctx context.Context, dst wire.Addr, obj wire.ObjectID, ki
 		}
 		return resp, nil
 	case <-ctx.Done():
-		c.dropPending(id)
 		return nil, ctx.Err()
 	}
 }
 
-func (c *Context) dropPending(id uint64) {
-	s := c.shard(id)
-	s.mu.Lock()
-	delete(s.m, id)
-	s.mu.Unlock()
-}
-
-func (c *Context) failPending(err error) {
-	// Mark closed first: any NewPending/Call that has not yet taken its
-	// shard lock will observe closed and refuse; any that already
-	// registered is drained below.
+// failPending wakes every pending call with a nil frame, sent under the
+// shard's lock like a response. closed is stored first: a NewPending that
+// has not yet taken its shard lock refuses, one that has is woken here.
+func (c *Context) failPending() {
 	c.closed.Store(true)
-	var chans []chan *wire.Frame
 	for i := range c.pending {
 		s := &c.pending[i]
 		s.mu.Lock()
 		for id, ch := range s.m {
-			chans = append(chans, ch)
+			ch <- nil
 			delete(s.m, id)
 		}
 		s.mu.Unlock()
-	}
-	for _, ch := range chans {
-		ch <- nil // nil frame signals closure to waiting Call
 	}
 }
 

@@ -1,0 +1,144 @@
+package kernel
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// assertPoolEmpty takes n waiters from the pool, fails if any holds a
+// frame, and puts them back.
+func assertPoolEmpty(t *testing.T, n int) {
+	t.Helper()
+	held := make([]chan *wire.Frame, n)
+	for i := range held {
+		held[i] = waiters.Get().(chan *wire.Frame)
+		if len(held[i]) != 0 {
+			t.Errorf("a pooled waiter holds %d frame(s)", len(held[i]))
+		}
+	}
+	for _, ch := range held {
+		waiters.Put(ch)
+	}
+}
+
+// TestPendingWaiterReuse cancels a call's ctx while its response is being
+// dispatched, then starts the next call at once, on the waiter the first
+// one just recycled: that call must see its own response and nothing
+// else, whichever side of the race the old response fell on — before the
+// caller gave up, after it, or after its CancelPending.
+func TestPendingWaiterReuse(t *testing.T) {
+	n1, _ := twoNodes(t)
+	c, _ := n1.NewContext()
+	const rounds = 10000
+	var late sync.WaitGroup
+	for i := 0; i < rounds; i++ {
+		id1, ch1, err := c.NewPending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		late.Add(1)
+		go func() {
+			defer late.Done()
+			cancel()
+			c.dispatch(&wire.Frame{Kind: wire.KindReply, Flags: wire.FlagResponse, ReqID: id1})
+		}()
+		select { // as Call waits
+		case <-ch1:
+		case <-ctx.Done():
+		}
+		c.CancelPending(id1, ch1)
+
+		id2, ch2, err := c.NewPending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Looked at before the next response is sent: a stale frame in
+		// the waiter would otherwise block that send for good.
+		select {
+		case f := <-ch2:
+			t.Fatalf("round %d: call %#x found the frame for %#x on its waiter", i, id2, f.ReqID)
+		default:
+		}
+		c.dispatch(&wire.Frame{Kind: wire.KindReply, Flags: wire.FlagResponse, ReqID: id2})
+		if f := <-ch2; f == nil || f.ReqID != id2 {
+			t.Fatalf("round %d: call %#x received %v", i, id2, f)
+		}
+		c.CancelPending(id2, ch2)
+		late.Wait()
+		if i%1000 == 0 {
+			assertPoolEmpty(t, 4)
+		}
+	}
+	assertPoolEmpty(t, 64)
+}
+
+// TestPendingClosedWakesEveryWaiter closes a node with calls pending, some
+// registered by hand and some inside Call: every waiter receives nil, every
+// Call returns ErrClosed, registration is refused after, and the waiters
+// go back to the pool empty.
+func TestPendingClosedWakesEveryWaiter(t *testing.T) {
+	const raw, calls = 16, 16
+	for round := 0; round < 20; round++ {
+		n1, n2 := twoNodes(t)
+		c1, _ := n1.NewContext()
+		c2, _ := n2.NewContext()
+		arrived := make(chan struct{}, calls)
+		obj := c2.Register(HandlerFunc(func(*Context, *wire.Frame) { arrived <- struct{}{} }))
+
+		type pending struct {
+			id uint64
+			ch chan *wire.Frame
+		}
+		var hand []pending
+		for i := 0; i < raw; i++ {
+			id, ch, err := c1.NewPending()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hand = append(hand, pending{id, ch})
+		}
+		errs := make(chan error, calls)
+		for i := 0; i < calls; i++ {
+			go func() {
+				_, err := c1.Call(context.Background(), c2.Addr(), obj, wire.KindRequest, 0, nil)
+				errs <- err
+			}()
+		}
+		for i := 0; i < calls; i++ {
+			<-arrived // each Call is registered before its request leaves
+		}
+
+		n1.Close()
+		for _, p := range hand {
+			select {
+			case f := <-p.ch:
+				if f != nil {
+					t.Fatalf("round %d: closing woke %#x with a frame for %#x", round, p.id, f.ReqID)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("round %d: closing never woke %#x", round, p.id)
+			}
+			c1.CancelPending(p.id, p.ch)
+		}
+		for i := 0; i < calls; i++ {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("round %d: pending Call returned %v, want ErrClosed", round, err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("round %d: a pending Call survived Close", round)
+			}
+		}
+		if _, _, err := c1.NewPending(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: NewPending after Close = %v, want ErrClosed", round, err)
+		}
+		assertPoolEmpty(t, raw+calls)
+	}
+}

@@ -267,7 +267,7 @@ func (c *Client) CallEnvelope(ctx context.Context, dst wire.ObjAddr, kind wire.K
 	if err != nil {
 		return nil, err
 	}
-	defer c.ktx.CancelPending(id)
+	defer c.ktx.CancelPending(id, ch)
 
 	// When the caller's ctx carries a span, every transmission attempt is
 	// recorded as its own span under it — a retransmission storm shows as

@@ -10,9 +10,9 @@
 //     gives the receiving handler ownership for as long as it likes, and
 //     layers above (rpc reply cache, RemoteError) retain response
 //     payloads past the call.
-//   - Pending-response channels are never pooled: a late reply delivered
-//     into a recycled channel that a different call now owns would
-//     mis-correlate request and response. Channels stay one-per-call.
+//   - The kernel's pending-response channels follow their own rule
+//     (kernel.Context.CancelPending): one is recycled only once it has
+//     left the pending table and been drained under that table's lock.
 //   - A released frame or buffer must not be touched again; the payload
 //     slice handed to a pooled frame is owned by whoever allocated it
 //     and is not recycled by Frame.Release.
