@@ -81,12 +81,15 @@ test:
 # once — a sender's cut, the flusher's sweep and the TCP write path; the
 # dedup lookup on the receive pump against commits from handler workers;
 # a recycled reply waiter against late responses and Close, on every call
-# path that waits on one — so a rare interleaving gets ten chances, not one.
+# path that waits on one; a pooled reply frame, released by one owner and
+# read into again by a connection's reader — so a rare interleaving gets
+# ten chances, not one.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Coalescer|Trains|TCP' ./internal/wire ./internal/netsim .
 	$(GO) test -race -count=10 -run 'Dedup|Session|Retransmi|Pushback|Expired|AtLeastOnce' ./internal/kernel ./internal/rpc
 	$(GO) test -race -count=10 -run 'Pending|LateReply|Closed|Ping' ./internal/kernel ./internal/rpc ./internal/health
+	$(GO) test -race -count=10 -run 'PooledReply' ./internal/wire ./internal/netsim ./internal/kernel ./internal/core
 
 vet:
 	$(GO) vet ./...

@@ -231,6 +231,64 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 	}
 }
 
+// replyStream returns a reader replaying one encoded response frame with
+// a 16-byte payload, and its encoding.
+func replyStream(t *testing.T) (*bytes.Reader, *bufio.Reader, []byte) {
+	t.Helper()
+	f := &wire.Frame{Kind: wire.KindReply, Flags: wire.FlagResponse, ReqID: 1, Payload: bytes.Repeat([]byte{0xbb}, 16)}
+	enc, err := f.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(enc)
+	return rd, bufio.NewReader(rd), enc
+}
+
+// TestAllocBudgetReplyRead holds the reply read path to zero allocations
+// once warm: a response is read into a frame from the reply pool, into
+// the read buffer that frame kept when its last owner released it.
+func TestAllocBudgetReplyRead(t *testing.T) {
+	if bench.RaceEnabled {
+		t.Skip("alloc budgets are meaningless under -race (detector allocations are counted)")
+	}
+	rd, br, enc := replyStream(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(enc)
+		br.Reset(rd)
+		got, err := wire.ReadInbound(br)
+		if err != nil || len(got.Payload) != 16 {
+			t.Fatalf("ReadInbound = (%v, %v)", got, err)
+		}
+		got.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("reading a released reply allocates %.1f/frame, budget is 0", allocs)
+	}
+}
+
+// TestAllocBudgetReplyUnreleased holds a reply its owner keeps to what
+// every inbound frame cost before replies were pooled: the frame and
+// its buffer.
+func TestAllocBudgetReplyUnreleased(t *testing.T) {
+	if bench.RaceEnabled {
+		t.Skip("alloc budgets are meaningless under -race (detector allocations are counted)")
+	}
+	rd, br, enc := replyStream(t)
+	kept := make([]*wire.Frame, 0, 201)
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(enc)
+		br.Reset(rd)
+		got, err := wire.ReadInbound(br)
+		if err != nil || len(got.Payload) != 16 {
+			t.Fatalf("ReadInbound = (%v, %v)", got, err)
+		}
+		kept = append(kept, got)
+	})
+	if allocs > 2 {
+		t.Errorf("a reply never released allocates %.1f/frame, budget is 2 (the frame and its buffer)", allocs)
+	}
+}
+
 // loopEndpoint hands every frame sent on it back to its own node as it
 // is, uncopied, so a budget can take the kernel's correlation path alone.
 type loopEndpoint struct {

@@ -244,12 +244,16 @@ func (s *Stub) callBinding(ctx context.Context, ref codec.Ref, method string, lo
 		if err != nil {
 			return nil, err
 		}
+		// The stub is the response's one owner. Decoding copies every
+		// value out of the payload (strings, bytes, a Ref's hint), so the
+		// frame goes back to the reply pool as soon as it is decoded.
 		switch resp.Kind {
 		case wire.KindForward:
+			newRef, err := DecodeForward(resp.Payload)
+			resp.Release()
 			if hop >= maxForwards {
 				return nil, &InvokeError{Code: CodeUnavailable, Method: method, Msg: "forwarding chain too long"}
 			}
-			newRef, err := DecodeForward(resp.Payload)
 			if err != nil {
 				return nil, &InvokeError{Code: CodeInternal, Method: method, Msg: err.Error()}
 			}
@@ -272,7 +276,9 @@ func (s *Stub) callBinding(ctx context.Context, ref codec.Ref, method string, lo
 			}
 			continue
 		default:
-			return DecodeResults(s.rt.decoder(), resp.Payload)
+			res, err := DecodeResults(s.rt.decoder(), resp.Payload)
+			resp.Release()
+			return res, err
 		}
 	}
 }

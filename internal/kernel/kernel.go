@@ -26,10 +26,12 @@ import (
 )
 
 // Handler receives the frames addressed to one object. Implementations are
-// invoked concurrently and must do their own locking. The frame is owned by
-// the handler (it will not be reused by the kernel). A two-way request is
-// answered through Context.Respond: until it is, a retransmission of it is
-// dropped as in flight, and after, answered with the committed reply.
+// invoked concurrently and must do their own locking. A handler sees
+// requests, never a response (a response belongs to the call waiting for
+// it, which may Release it), and the request is the handler's for good:
+// the kernel never reuses it. A two-way request is answered through
+// Context.Respond: until it is, a retransmission of it is dropped as in
+// flight, and after, answered with the committed reply.
 type Handler interface {
 	HandleFrame(ktx *Context, f *wire.Frame)
 }
@@ -421,17 +423,26 @@ func (n *Node) route(f *wire.Frame) {
 	// is routed as if it had arrived alone, so member requests fan out
 	// onto the ordinary dispatch machinery (parallel handler workers)
 	// and member responses complete the sharded pending table directly.
-	// Members alias the train's payload, which is safe because inbound
-	// frames are never pooled; a member that fails its own CRC is dropped
-	// by the walk (counted in wire.ReadTrainStats) without affecting its
-	// neighbors, and a train with damaged framing loses only its tail.
+	// Members alias the train's payload, which trains never share and
+	// nobody releases: a response member rides in a pooled reply frame
+	// (wire.GetReply) whose Release recycles that frame alone, a request
+	// member in a frame its handler owns for good. A member that fails
+	// its own CRC is dropped by the walk (counted in wire.ReadTrainStats)
+	// without affecting its neighbors, and a train with damaged framing
+	// loses only its tail.
 	if f.Kind == wire.KindTrain {
 		_, _, _ = wire.ForEachTrainMember(f.Payload, func(m *wire.Frame) {
-			g := *m
-			if n.trace != nil {
-				n.trace(TraceRecv, &g)
+			var g *wire.Frame
+			if m.Flags&wire.FlagResponse != 0 {
+				g = wire.GetReply(m)
+			} else {
+				c := *m
+				g = &c
 			}
-			n.route(&g)
+			if n.trace != nil {
+				n.trace(TraceRecv, g)
+			}
+			n.route(g)
 		})
 		return
 	}
@@ -450,8 +461,12 @@ func (n *Node) route(f *wire.Frame) {
 	if !ok {
 		// Frame for a context that does not exist (it may have been
 		// destroyed). Answer requests with an error so callers fail fast
-		// instead of timing out; drop everything else.
-		if f.Flags&wire.FlagResponse == 0 && f.Flags&wire.FlagOneWay == 0 && !f.Src.IsZero() {
+		// instead of timing out; drop everything else, recycling a
+		// response, which nobody else owns.
+		switch {
+		case f.Flags&wire.FlagResponse != 0:
+			f.Release()
+		case f.Flags&wire.FlagOneWay == 0 && !f.Src.IsZero():
 			_ = n.respond(nil, f, wire.KindError, wire.FlagNoRoute, noSuchContext)
 		}
 		return
@@ -599,15 +614,21 @@ func (c *Context) dispatch(f *wire.Frame) {
 	if f.Flags&wire.FlagResponse != 0 {
 		// The send happens under the shard's lock, which is what lets
 		// CancelPending recycle the waiter (see there); it never blocks,
-		// because the entry leaves the map with the waiter's one frame.
-		// Unmatched responses (late replies after timeout) are dropped.
+		// because the entry leaves the map with the waiter's one frame,
+		// and so does the frame's ownership. An unmatched response (a late
+		// reply after a timeout, the answer to a duplicate retransmission)
+		// is owned by nobody else, so it is recycled here.
 		s := c.shard(f.ReqID)
 		s.mu.Lock()
-		if ch, ok := s.m[f.ReqID]; ok {
+		ch, ok := s.m[f.ReqID]
+		if ok {
 			delete(s.m, f.ReqID)
 			ch <- f
 		}
 		s.mu.Unlock()
+		if !ok {
+			f.Release()
+		}
 		return
 	}
 	c.mu.Lock()
@@ -783,19 +804,24 @@ func (c *Context) NewPending() (uint64, chan *wire.Frame, error) {
 // failPending), so once CancelPending holds that lock, either the entry
 // still maps to ch — no frame was sent, and deleting it stops any — or
 // the frame is already in ch's buffer, and the drain takes it. The waiter
-// goes back to the pool empty and unreachable. ch must not be used after.
+// goes back to the pool empty and unreachable, and a drained response,
+// which no caller received, is recycled. ch must not be used after.
 func (c *Context) CancelPending(id uint64, ch chan *wire.Frame) {
 	s := c.shard(id)
 	s.mu.Lock()
 	if s.m[id] == ch {
 		delete(s.m, id)
 	}
+	var late *wire.Frame
 	select {
-	case <-ch:
+	case late = <-ch:
 	default:
 	}
 	s.mu.Unlock()
 	waiters.Put(ch)
+	if late != nil {
+		late.Release()
+	}
 }
 
 // Send transmits a frame from this context. The frame's Src is stamped

@@ -1,12 +1,15 @@
 package kernel
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -140,5 +143,109 @@ func TestPendingClosedWakesEveryWaiter(t *testing.T) {
 			t.Fatalf("round %d: NewPending after Close = %v, want ErrClosed", round, err)
 		}
 		assertPoolEmpty(t, raw+calls)
+	}
+}
+
+// TestPooledReplyLateAfterTimeout sends, over real TCP, calls whose
+// replies come back after nobody waits for them: in "timeout" rounds a
+// Call's deadline passed before the server answered, so dispatch finds
+// no entry; in "drained" rounds the reply sits in the waiter when
+// CancelPending drains it. Either way the kernel is the reply's only
+// owner and recycles it, and the next call's reply is read into that
+// same pooled frame: it must arrive intact, and the reuse must be seen.
+func TestPooledReplyLateAfterTimeout(t *testing.T) {
+	srvEP, err := netsim.ListenTCP(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliEP, err := netsim.ListenTCP(2, "127.0.0.1:0", map[wire.NodeID]string{1: srvEP.ListenAddr()})
+	if err != nil {
+		srvEP.Close()
+		t.Fatal(err)
+	}
+	isLate := func(f *wire.Frame) bool { return bytes.HasPrefix(f.Payload, []byte("late")) }
+	var mu sync.Mutex
+	late := map[*wire.Frame]bool{} // every frame a late reply arrived in
+	seenLate := make(chan struct{}, 1)
+	srv := NewNode(srvEP)
+	cli := NewNode(cliEP, WithTrace(func(dir TraceDirection, f *wire.Frame) {
+		if dir == TraceRecv && f.Flags&wire.FlagResponse != 0 && isLate(f) {
+			mu.Lock()
+			late[f] = true
+			mu.Unlock()
+			seenLate <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+	sc, _ := srv.NewContext()
+	cc, _ := cli.NewContext()
+	arrived, hold := make(chan struct{}, 1), make(chan struct{}, 1)
+	obj := sc.Register(HandlerFunc(func(ktx *Context, f *wire.Frame) {
+		if isLate(f) {
+			arrived <- struct{}{}
+			<-hold
+		}
+		_ = ktx.Respond(f, wire.KindReply, f.Payload)
+	}))
+
+	for _, mode := range []string{"timeout", "drained"} {
+		mu.Lock()
+		clear(late) // a frame counts only if this mode recycled it
+		mu.Unlock()
+		reused := 0
+		const rounds = 25
+		for i := 0; i < rounds; i++ {
+			payload := bytes.Repeat([]byte(fmt.Sprintf("late %s %d;", mode, i)), 40)
+			if mode == "timeout" {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+				errc := make(chan error, 1)
+				go func() {
+					_, err := cc.Call(ctx, sc.Addr(), obj, wire.KindRequest, 0, payload)
+					errc <- err
+				}()
+				<-arrived
+				err := <-errc // the reply is held until the call has given up
+				cancel()
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("round %d: held call returned %v, want a deadline error", i, err)
+				}
+				hold <- struct{}{}
+				<-seenLate
+			} else {
+				id, ch, err := cc.NewPending()
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := &wire.Frame{Kind: wire.KindRequest, ReqID: id, Dst: sc.Addr(), Object: obj, Payload: payload}
+				if err := cc.Send(req); err != nil {
+					t.Fatal(err)
+				}
+				<-arrived
+				hold <- struct{}{}
+				<-seenLate
+				for len(ch) == 0 { // dispatched just after the trace hook
+					time.Sleep(10 * time.Microsecond)
+				}
+				cc.CancelPending(id, ch)
+			}
+
+			want := []byte(fmt.Sprintf("%s round %d", mode, i))
+			resp, err := cc.Call(context.Background(), sc.Addr(), obj, wire.KindRequest, 0, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp.Payload, want) {
+				t.Fatalf("%s round %d: reply %q, want %q", mode, i, resp.Payload, want)
+			}
+			mu.Lock()
+			if late[resp] {
+				reused++
+			}
+			mu.Unlock()
+		}
+		t.Logf("%s: %d of %d replies reused a late reply's frame", mode, reused, rounds)
+		if reused == 0 {
+			t.Errorf("%s: no reply in %d rounds reused a recycled late reply's frame", mode, rounds)
+		}
 	}
 }

@@ -493,12 +493,15 @@ func (n *Network) deliver(dst *simEndpoint, f *wire.Frame) {
 		dst.mu.Unlock()
 		return
 	}
+	// Measured before the hand-off: once in dst.recv the frame is the
+	// receiver's, which may release it (a reply, once decoded).
+	size := uint64(f.EncodedLen())
 	select {
 	case dst.recv <- f:
 		dst.mu.Unlock()
 		n.mu.Lock()
 		n.stats.Delivered++
-		n.stats.BytesMoved += uint64(f.EncodedLen())
+		n.stats.BytesMoved += size
 		n.mu.Unlock()
 	default:
 		dst.mu.Unlock()

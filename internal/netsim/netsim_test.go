@@ -56,6 +56,44 @@ func TestPerfectDelivery(t *testing.T) {
 	}
 }
 
+// TestPooledReplySimHandOff hands every delivered frame straight to a
+// receiver that overwrites it, as a stub releasing a decoded reply does:
+// once a frame is in the receiver's queue the network must not read it,
+// which the race detector checks.
+func TestPooledReplySimHandOff(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a, err := n.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < frames; i++ {
+			f := <-b.Recv()
+			f.Release()
+		}
+	}()
+	for i := 0; i < frames; i++ {
+		f := frameTo(1, 2, "reply")
+		f.Flags = wire.FlagResponse
+		if err := a.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("frames lost")
+	}
+}
+
 func TestSendClonesFrame(t *testing.T) {
 	n := New(WithDefaultLink(LinkConfig{Latency: 5 * time.Millisecond}))
 	defer n.Close()

@@ -174,14 +174,15 @@ const bigFrame = 8 << 10
 var processStart = time.Now()
 
 // readLoop pumps frames from one connection. accepted connections teach
-// us return routes.
+// us return routes. Responses arrive in pooled frames (wire.ReadInbound),
+// owned from here on by whoever receives them.
 func (e *TCPEndpoint) readLoop(conn net.Conn, r io.Reader, accepted bool) {
 	defer e.wg.Done()
 	defer e.hangUp(conn)
 	br := bufio.NewReaderSize(r, readBufSize)
 	var tc *tcpConn
 	for {
-		f, err := wire.ReadFrame(br)
+		f, err := wire.ReadInbound(br)
 		if err != nil {
 			break
 		}
@@ -191,7 +192,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, r io.Reader, accepted bool) {
 		if e.closed.Load() {
 			break
 		}
-		e.deliver(&f)
+		e.deliver(f)
 	}
 	if tc != nil {
 		e.forgetConn(tc)
@@ -199,13 +200,14 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, r io.Reader, accepted bool) {
 }
 
 // deliver queues an inbound frame for the node's pump. A full queue
-// drops the frame, as a congested switch would; every drop is counted
-// (RecvOverruns), because a sender only learns of it by timing out.
+// drops (and recycles) the frame, as a congested switch would; every drop
+// is counted (RecvOverruns), because a sender only learns of it by timing out.
 func (e *TCPEndpoint) deliver(f *wire.Frame) {
 	select {
 	case e.recv <- f:
 	default:
 		e.overruns.Add(1)
+		f.Release()
 	}
 }
 

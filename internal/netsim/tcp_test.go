@@ -127,6 +127,15 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	// Many goroutines share one connection: every frame arrives once and
 	// intact, in its sender's order, and once the peer is gone every Send
 	// reports an error of its own.
+	concurrentSenders(t, 0)
+}
+
+// TestPooledReplyTCPConcurrentSenders sends the same frames as responses:
+// each is read into a pooled reply frame and released once checked, so
+// later frames reuse the buffers of earlier ones, small and large alike.
+func TestPooledReplyTCPConcurrentSenders(t *testing.T) { concurrentSenders(t, wire.FlagResponse) }
+
+func concurrentSenders(t *testing.T, flags uint16) {
 	a, b := tcpPair(t)
 	const senders, perSender = 8, 500
 	// Tokens keep the frames in flight below b's receive queue, which
@@ -140,6 +149,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 			for i := 0; i < perSender; i++ {
 				tokens <- struct{}{}
 				f := frameTo(1, 2, "")
+				f.Flags = flags
 				f.ReqID = uint64(s)<<32 | uint64(i)
 				f.Payload = senderPayload(s, i)
 				if err := a.Send(f); err != nil {
@@ -161,6 +171,9 @@ func TestTCPConcurrentSenders(t *testing.T) {
 		}
 		if !bytes.Equal(f.Payload, senderPayload(s, i)) {
 			t.Fatalf("sender %d frame %d: payload of %d bytes damaged", s, i, len(f.Payload))
+		}
+		if flags&wire.FlagResponse != 0 {
+			f.Release()
 		}
 		next[s]++
 		<-tokens

@@ -144,6 +144,11 @@ type Frame struct {
 	Object   ObjectID // destination object within Dst; KernelObject for kernel traffic
 	Envelope Envelope // control part of a request; zero on responses
 	Payload  []byte
+
+	// pooled is set on the frame a replyFrame holds, pointing back at
+	// it (pool.go). A copy of the frame carries the pointer but not the
+	// address it belongs to, so Release tells the two apart.
+	pooled *replyFrame
 }
 
 // Frame wire layout (fixed header, big-endian):
@@ -287,18 +292,60 @@ func Decode(src []byte) (Frame, int, error) {
 // out first. A stream that ends between frames returns io.EOF; one that
 // ends inside a frame returns io.ErrUnexpectedEOF.
 func ReadFrame(br *bufio.Reader) (Frame, error) {
+	n, _, err := peekFrame(br)
+	if err != nil {
+		return Frame{}, err
+	}
+	return readFull(br, make([]byte, n))
+}
+
+// ReadInbound reads one frame from br as ReadFrame does, with the same
+// checks and errors, except that a response (FlagResponse, any kind but
+// KindTrain) lands in a frame from the reply pool, read into that frame's
+// own recycled buffer. Such a frame has one owner, the call waiting for
+// it, which may Release it once nothing it decoded aliases the payload;
+// one never released is ordinary garbage. Requests and trains are read
+// into a new frame and exact-size buffer, as ReadFrame reads them.
+func ReadInbound(br *bufio.Reader) (*Frame, error) {
+	n, reply, err := peekFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	if !reply {
+		f, err := readFull(br, make([]byte, n))
+		if err != nil {
+			return nil, err
+		}
+		return &f, nil
+	}
+	r := getReply()
+	if err := r.read(br, n); err != nil {
+		r.recycle()
+		return nil, err
+	}
+	return &r.Frame, nil
+}
+
+// peekFrame looks at the next frame's header in br's buffer and reports
+// its encoded length and whether it is a response a pooled frame holds.
+func peekFrame(br *bufio.Reader) (n int, reply bool, err error) {
 	hdr, err := br.Peek(headerLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return 0, false, err
 	}
 	plen := int(binary.BigEndian.Uint32(hdr[38:]))
 	if plen > MaxPayload {
-		return Frame{}, ErrTooLarge
+		return 0, false, ErrTooLarge
 	}
-	full := make([]byte, headerLen+plen+trailerLen)
+	reply = binary.BigEndian.Uint16(hdr[4:])&FlagResponse != 0 && Kind(hdr[3]) != KindTrain
+	return headerLen + plen + trailerLen, reply, nil
+}
+
+// readFull fills full from br and decodes it; the frame's Payload aliases full.
+func readFull(br *bufio.Reader, full []byte) (Frame, error) {
 	if _, err := io.ReadFull(br, full); err != nil {
 		return Frame{}, err
 	}
@@ -310,6 +357,7 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 // after the source buffer is reused.
 func (f *Frame) Clone() Frame {
 	c := *f
+	c.pooled = nil
 	if f.Payload != nil {
 		c.Payload = append([]byte(nil), f.Payload...)
 	}

@@ -38,6 +38,29 @@ func frameSeed(t testing.TB) []byte {
 	return buf
 }
 
+// readPooled reads data as a reply frame whose buffer first held a
+// larger, valid frame of other bytes (the fuzz input may name any kind,
+// so the pooled path is driven directly, not through ReadInbound's
+// FlagResponse test).
+func readPooled(t *testing.T, data []byte) (*Frame, error) {
+	t.Helper()
+	prev := &Frame{Kind: KindReply, Flags: FlagResponse, ReqID: ^uint64(0), Payload: bytes.Repeat([]byte{0x5a}, len(data)+256)}
+	br := bufio.NewReader(bytes.NewReader(encodeStream(t, prev)))
+	r := getReply()
+	n, _, err := peekFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.read(br, n); err != nil {
+		t.Fatal(err)
+	}
+	br = bufio.NewReader(bytes.NewReader(data))
+	if n, _, err = peekFrame(br); err == nil {
+		err = r.read(br, n)
+	}
+	return &r.Frame, err
+}
+
 func FuzzDecodeFrame(f *testing.F) {
 	good := frameSeed(f)
 	f.Add(good)
@@ -72,6 +95,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		sf, serr := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("Decode err = %v, ReadFrame err = %v", err, serr)
+		}
+		// A pooled reply read, into a buffer that first held a larger,
+		// different (valid) frame, rejects the same bytes with the same
+		// error and accepts the same frame: nothing left in the buffer
+		// stands in for bytes the stream lacks.
+		pf, perr := readPooled(t, data)
+		if perr != serr {
+			t.Fatalf("pooled reply read err = %v, ReadFrame err = %v", perr, serr)
+		}
+		if perr == nil && (pf.Kind != sf.Kind || pf.Flags != sf.Flags || pf.ReqID != sf.ReqID || pf.Src != sf.Src ||
+			pf.Dst != sf.Dst || pf.Object != sf.Object || pf.Envelope != sf.Envelope || !bytes.Equal(pf.Payload, sf.Payload)) {
+			t.Fatalf("pooled reply read decoded %v, ReadFrame %v", pf, &sf)
 		}
 		if err != nil {
 			return
